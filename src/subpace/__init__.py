@@ -9,7 +9,7 @@ the AQM's intended operating point.
 from .analysis import jain_fairness, pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
 from .endpoint import Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
-from .engine import Engine
+from .engine import Engine, Recorder
 from .netpath import AqmLink, Packet
 from .pacing import Pacer, pacing_delay, segment_size
 from .scenario import ScenarioMetrics, Simulation, run_scenario, sweep
@@ -22,6 +22,7 @@ __all__ = [
     "Packet",
     "Pacer",
     "ProtocolError",
+    "Recorder",
     "ScenarioConfig",
     "ScenarioMetrics",
     "Simulation",

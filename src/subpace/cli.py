@@ -17,20 +17,19 @@ def _write_output(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _cmd_run(args) -> int:
+def _load(args):
     cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = with_value(cfg, "seed", args.seed)
-    _write_output(render_metrics_csv(run_scenario(cfg)), args.out)
+    return cfg if args.seed is None else with_value(cfg, "seed", args.seed)
+
+
+def _cmd_run(args) -> int:
+    _write_output(render_metrics_csv(run_scenario(_load(args))), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = with_value(cfg, "seed", args.seed)
     values = [v for v in args.values.split(",") if v != ""]
-    rows = sweep(cfg, args.vary, values)
+    rows = sweep(_load(args), args.vary, values)
     _write_output(render_sweep_csv(args.vary, rows), args.out)
     return 0
 
@@ -91,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     regions_p.add_argument("--points", type=int, default=25)
     regions_p.set_defaults(func=_cmd_regions)
 
-    for sub_parser in (run_p, sweep_p, floor_p, regions_p):
+    for sub_parser in (run_p, sweep_p):
         sub_parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    for sub_parser in (run_p, sweep_p, floor_p, regions_p):
         sub_parser.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
 

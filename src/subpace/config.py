@@ -5,13 +5,12 @@ accept ns/us/ms/s, rates bps/kbps/mbps/gbps, sizes B/KB/MB; bare numbers are
 taken in the field's base unit (ns, bit/s, bytes).
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 
+from .endpoint import CC_VARIANTS, SENDER_MODES
 from .engine import NS_PER_SEC
-
-AQM_POLICIES = ("drop-tail", "red-drop", "ramp-mark")
-SENDER_MODES = ("baseline", "submss")
-CC_VARIANTS = ("reno-like", "dctcp-like")
+from .netpath import AQM_POLICIES, buffer_limit_problem
 
 
 class ConfigError(ValueError):
@@ -25,22 +24,23 @@ class ConfigError(ValueError):
 _TIME_UNITS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": NS_PER_SEC}
 _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000}
 _SIZE_UNITS = {"b": 1, "kb": 1_000, "mb": 1_000_000}
+_POSITIVE = ("capacity", "n_flows", "frame_size", "smss", "duration", "base_rtt", "aqm_target")
 
 
 def _parse_with_units(field_name: str, raw: str, units: dict[str, int]) -> int:
     text = raw.strip().lower()
+    number, scale = text, 1
     for suffix in sorted(units, key=len, reverse=True):
         if text.endswith(suffix):
-            number = text[: -len(suffix)].strip()
-            try:
-                value = float(number)
-            except ValueError:
-                raise ConfigError(field_name, f"cannot parse number in {raw!r}") from None
-            return round(value * units[suffix])
+            number, scale = text[: -len(suffix)].strip(), units[suffix]
+            break
     try:
-        return round(float(text))
+        value = float(number) * scale
     except ValueError:
         raise ConfigError(field_name, f"cannot parse {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(field_name, f"must be a finite number, got {raw!r}")
+    return round(value)
 
 
 def parse_time(field_name: str, raw: str) -> int:
@@ -118,11 +118,9 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("capacity", "n_flows", "frame_size", "smss", "duration"):
+        for name in _POSITIVE:
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
-        if self.base_rtt <= 0:
-            raise ConfigError("base_rtt", "must be positive")
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
         if self.aqm_policy not in AQM_POLICIES:
@@ -131,16 +129,11 @@ class ScenarioConfig:
             raise ConfigError("sender_mode", f"expected one of {', '.join(SENDER_MODES)}")
         if self.cc_variant not in CC_VARIANTS:
             raise ConfigError("cc_variant", f"expected one of {', '.join(CC_VARIANTS)}")
-        if self.aqm_target <= 0:
-            raise ConfigError("aqm_target", "must be positive")
         if self.aqm_policy != "drop-tail" and self.aqm_ceiling <= self.aqm_target:
             raise ConfigError("aqm_ceiling", "must exceed aqm_target")
-        target_bytes = self.aqm_target * self.capacity // (8 * NS_PER_SEC)
-        if self.buffer_limit <= target_bytes:
-            raise ConfigError(
-                "buffer_limit",
-                f"must strictly exceed the byte equivalent of aqm_target ({target_bytes} B)",
-            )
+        problem = buffer_limit_problem(self.buffer_limit, self.capacity, self.aqm_target)
+        if problem:
+            raise ConfigError("buffer_limit", problem)
         if not 0 <= self.warmup < self.duration:
             raise ConfigError("warmup", "must satisfy 0 <= warmup < duration")
         if not 0 < self.w_min_fraction <= 1:
@@ -175,18 +168,7 @@ _FIELD_PARSERS = {
     "w_min_fraction": parse_float,
 }
 
-_REQUIRED = (
-    "capacity",
-    "n_flows",
-    "frame_size",
-    "smss",
-    "base_rtt",
-    "aqm_policy",
-    "aqm_target",
-    "buffer_limit",
-    "sender_mode",
-    "duration",
-)
+_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:

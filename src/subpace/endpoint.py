@@ -26,6 +26,8 @@ BASELINE = "baseline"
 SUBMSS = "submss"
 RENO_LIKE = "reno-like"
 DCTCP_LIKE = "dctcp-like"
+SENDER_MODES = (BASELINE, SUBMSS)
+CC_VARIANTS = (RENO_LIKE, DCTCP_LIKE)
 
 DCTCP_GAIN = 1.0 / 16.0
 
@@ -79,9 +81,9 @@ class TcpSender:
         transmit,
         tuning: Tuning = DEFAULT_TUNING,
     ):
-        if mode not in (BASELINE, SUBMSS):
+        if mode not in SENDER_MODES:
             raise ValueError(f"unknown sender mode {mode!r}")
-        if cc_variant not in (RENO_LIKE, DCTCP_LIKE):
+        if cc_variant not in CC_VARIANTS:
             raise ValueError(f"unknown cc variant {cc_variant!r}")
         self.engine = engine
         self.flow_id = flow_id
@@ -120,9 +122,6 @@ class TcpSender:
 
         self.pacer = Pacer(engine, tuning.initial_rtt, self._on_pacer_ready)
         self._rto_timer = None
-
-        self.rto_times: list[int] = []
-        self.send_log: list[tuple[int, int, int, bool]] = []  # (time, seq, payload, is_retx)
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -205,17 +204,9 @@ class TcpSender:
         if self.mode == SUBMSS:
             self.window -= payload
             self.unreclaimed += payload
-            assert self.window > -self.mss, "window fell to -MSS or below"
-        self.send_log.append((now, record.seq, payload, False))
-        self.transmit(
-            Packet(
-                flow_id=self.flow_id,
-                seq_bytes=record.seq,
-                size=payload + self.frame_overhead,
-                ecn_capable=self.ecn_capable,
-                sent_at=now,
-            )
-        )
+            if self.window <= -self.mss:
+                raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
+        self._transmit(record)
         if self._rto_timer is None:
             self._arm_rto(now)
 
@@ -224,18 +215,20 @@ class TcpSender:
         record.retransmitted = True
         record.sent_at = now
         self.pending_retx = None
-        self.send_log.append((now, record.seq, record.size, True))
+        self._transmit(record)
+        self._arm_rto(now)
+
+    def _transmit(self, record: SegmentRecord) -> None:
         self.transmit(
             Packet(
                 flow_id=self.flow_id,
                 seq_bytes=record.seq,
                 size=record.size + self.frame_overhead,
                 ecn_capable=self.ecn_capable,
-                is_retransmission=True,
-                sent_at=now,
+                is_retransmission=record.retransmitted,
+                sent_at=record.sent_at,
             )
         )
-        self._arm_rto(now)
 
     # -- ACK processing -----------------------------------------------------
 
@@ -257,7 +250,7 @@ class TcpSender:
 
         ece = ack.ece and self.ecn_capable
         if ece:
-            self._exit_slow_start()
+            self.slow_start = False
         if self.cc_variant == DCTCP_LIKE:
             self._dctcp_account(now, advance, ece)
         elif ece and now >= self.ece_gate_until:
@@ -348,8 +341,8 @@ class TcpSender:
         conceptual = self._conceptual_window()
         if conceptual > 0:
             self._apply_conceptual(max(self.floor, conceptual // 2))
-        if self.mode == BASELINE:
-            assert self.window >= 2 * self.mss
+        if self.mode == BASELINE and self.window < 2 * self.mss:
+            raise ProtocolError(f"flow {self.flow_id}: baseline window fell below 2*MSS")
 
     def _dctcp_account(self, now: int, advance: int, ece: bool) -> None:
         self._dctcp_acked += advance
@@ -366,13 +359,10 @@ class TcpSender:
             self._dctcp_marked = 0
             self._dctcp_window_end = self.snd_nxt
 
-    def _exit_slow_start(self) -> None:
-        self.slow_start = False
-
     # -- loss handling ------------------------------------------------------
 
     def _on_loss_detected(self, now: int) -> None:
-        self._exit_slow_start()
+        self.slow_start = False
         self._reduce()
         self.recovery_until = self.snd_nxt
         if self.segments:
@@ -392,27 +382,25 @@ class TcpSender:
         self._rto_timer = None
         if self.in_flight == 0:
             return
-        self.rto_times.append(now)
-        self._exit_slow_start()
+        self.engine.recorder.rto(now, self.flow_id)
+        self.slow_start = False
+        self._ca_acked = 0
+        self.recovery_until = self.snd_nxt
+        self.pending_retx = self.segments[0] if self.segments else None
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
             self.ssthresh = max(2 * self.mss, self.window // 2)
             self.window = 2 * self.mss
-            self._ca_acked = 0
             self.rto_backoff = min(self.rto_backoff * 2, 256)
-            self.recovery_until = self.snd_nxt
-            self.pending_retx = self.segments[0] if self.segments else None
             self._pump(now)
             return
         # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
         # and let the pacer's growing wait replace the timer backoff.
         conceptual = self.window + self.unreclaimed
-        assert conceptual > 0, "clocking conservation violated"
+        if conceptual <= 0:
+            raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
         self.window = max(self.w_min, conceptual // 2)
         self.unreclaimed = 0
-        self._ca_acked = 0
-        self.recovery_until = self.snd_nxt
-        self.pending_retx = self.segments[0] if self.segments else None
         self._after_window_change(now)
 
     # -- pacing hooks ---------------------------------------------------------
@@ -453,7 +441,6 @@ class TcpReceiver:
         self.ece_latch = False
         self._ooo: dict[int, int] = {}  # start -> end of buffered ranges
         self._delack_timer = None
-        self.acks_sent = 0
 
     def on_segment(self, packet: Packet) -> None:
         now = self.engine.now
@@ -501,5 +488,4 @@ class TcpReceiver:
         self.pending_segments = 0
         ece = self.ece_latch
         self.ece_latch = False
-        self.acks_sent += 1
         self.send_ack(Ack(self.flow_id, self.rcv_nxt, ece))

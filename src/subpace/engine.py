@@ -44,6 +44,21 @@ class ScheduledEvent:
         self.cancelled = True
 
 
+class Recorder:
+    """What the link and senders observe, stamped with `now`; this base ignores it.
+
+    `backlog`: the queue now holds that many bytes.  `departure`: a frame left
+    the link.  `drop`, `mark`: an arriving frame was dropped or CE-marked.
+    `rto`: a retransmission timer fired with data in flight.
+    """
+
+    def backlog(self, now: int, backlog: int) -> None: ...
+    def departure(self, now: int, flow_id: int, size: int) -> None: ...
+    def drop(self, now: int) -> None: ...
+    def mark(self, now: int) -> None: ...
+    def rto(self, now: int, flow_id: int) -> None: ...
+
+
 class Engine:
     """Ordered event queue plus a virtual clock.
 
@@ -51,15 +66,16 @@ class Engine:
     a programming error and raises immediately.  Randomness is handed out as
     named streams derived from the master seed, one per stochastic entity, so
     that adding entities does not perturb the draws seen by existing ones.
+    Observations go to `recorder`, which ignores them unless replaced.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+    def __init__(self, seed: int = 0):
         self.now = 0
         self.seed = seed
+        self.recorder = Recorder()
         self._heap: list[tuple[int, int, ScheduledEvent]] = []
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
-        self.trace: list[tuple[int, int, str | None]] | None = [] if trace else None
 
     def schedule(self, at: int, action, tag: str | None = None) -> ScheduledEvent:
         if at < self.now:
@@ -81,8 +97,6 @@ class Engine:
             if event.cancelled:
                 continue
             self.now = event.fire_at
-            if self.trace is not None:
-                self.trace.append((event.fire_at, event.seq, event.tag))
             event.action()
         self.now = deadline
         return self.now

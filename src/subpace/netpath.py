@@ -10,9 +10,9 @@ and return paths; the return path is modelled elsewhere as signal-free.
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import Engine, transmission_time_ns
+from .engine import NS_PER_SEC, Engine, transmission_time_ns
 
-POLICIES = ("drop-tail", "red-drop", "ramp-mark")
+AQM_POLICIES = ("drop-tail", "red-drop", "ramp-mark")
 
 QUEUED = "queued"
 MARKED = "queued+marked"
@@ -38,6 +38,14 @@ class Packet:
             raise ValueError("ce_marked requires ecn_capable")
 
 
+def buffer_limit_problem(buffer_limit: int, capacity_bps: int, target_delay_ns: int) -> str | None:
+    """Why the buffer cannot hold more than the target delay's bytes, or None."""
+    target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
+    if buffer_limit <= target_bytes:
+        return f"must exceed the target delay's {target_bytes} B, got {buffer_limit} B"
+    return None
+
+
 class AqmLink:
     """FIFO byte queue drained at a fixed bit rate, governed by an AQM policy.
 
@@ -57,18 +65,14 @@ class AqmLink:
         prop_rtt_ns: int,
         max_frame: int,
         deliver,
-        rng=None,
     ):
-        if policy not in POLICIES:
+        if policy not in AQM_POLICIES:
             raise ValueError(f"unknown AQM policy {policy!r}")
         if capacity_bps <= 0:
             raise ValueError("capacity must be positive")
-        target_bytes = target_delay_ns * capacity_bps // (8 * 10**9)
-        if buffer_limit <= target_bytes:
-            raise ValueError(
-                "buffer_limit must strictly exceed the byte equivalent of target_delay "
-                f"({buffer_limit} <= {target_bytes})"
-            )
+        problem = buffer_limit_problem(buffer_limit, capacity_bps, target_delay_ns)
+        if problem:
+            raise ValueError("buffer_limit " + problem)
         if policy != "drop-tail" and ramp_ceiling_ns <= target_delay_ns:
             raise ValueError("ramp_ceiling must exceed target_delay")
         self.engine = engine
@@ -80,17 +84,13 @@ class AqmLink:
         self.prop_one_way_ns = prop_rtt_ns // 2
         self.max_frame = max_frame
         self.deliver = deliver
-        self.rng = rng if rng is not None else engine.stream("aqm/0")
+        self.rng = engine.stream("aqm/0")
 
         self.backlog = 0
         self._fifo: deque[Packet] = deque()
         self._serving = False
 
-        # Observation log, consumed by the metrics layer.
-        self.backlog_steps: list[tuple[int, int]] = [(0, 0)]
-        self.departures: list[tuple[int, int, int]] = []  # (time, flow_id, size)
-        self.drop_times: list[int] = []
-        self.mark_times: list[int] = []
+        # Byte counters; every other observation goes to engine.recorder.
         self.enqueued_bytes = 0
         self.departed_bytes = 0
         self.dropped_bytes = 0
@@ -123,7 +123,7 @@ class AqmLink:
                 # ramp-mark: signal via CE when possible, fall back to drop.
                 if packet.ecn_capable:
                     packet.ce_marked = True
-                    self.mark_times.append(now)
+                    self.engine.recorder.mark(now)
                     self._admit(now, packet)
                     return MARKED
                 return self._drop(now, packet)
@@ -133,13 +133,13 @@ class AqmLink:
     def _admit(self, now: int, packet: Packet) -> None:
         self.backlog += packet.size
         self.enqueued_bytes += packet.size
-        self.backlog_steps.append((now, self.backlog))
+        self.engine.recorder.backlog(now, self.backlog)
         self._fifo.append(packet)
         if not self._serving:
             self._start_service(now)
 
     def _drop(self, now: int, packet: Packet) -> str:
-        self.drop_times.append(now)
+        self.engine.recorder.drop(now)
         self.dropped_bytes += packet.size
         return DROPPED
 
@@ -157,8 +157,9 @@ class AqmLink:
         packet = self._fifo.popleft()
         self.backlog -= packet.size
         self.departed_bytes += packet.size
-        self.backlog_steps.append((now, self.backlog))
-        self.departures.append((now, packet.flow_id, packet.size))
+        recorder = self.engine.recorder
+        recorder.backlog(now, self.backlog)
+        recorder.departure(now, packet.flow_id, packet.size)
         self.engine.schedule(
             now + self.prop_one_way_ns,
             lambda p=packet: self.deliver(p),

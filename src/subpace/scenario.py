@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .analysis import jain_fairness
 from .config import ScenarioConfig, parse_field_value, with_value
 from .endpoint import DEFAULT_TUNING, Ack, TcpReceiver, TcpSender, Tuning
-from .engine import NS_PER_SEC, Engine, transmission_time_ns
+from .engine import NS_PER_SEC, Engine, Recorder, transmission_time_ns
 from .netpath import AqmLink, Packet
 
 BULK_BYTES = 1 << 40  # effectively unbounded for desk-scale runs
@@ -34,10 +34,71 @@ class ScenarioMetrics:
         return sum(self.per_flow_throughput_bps)
 
 
+class Meter(Recorder):
+    """Running sums over the window (start, end]; memory stays flat as runs grow.
+
+    Departures, drops, marks and RTOs count when start < t <= end.  The queue
+    is a {backlog_bytes: ns} histogram opened by the backlog in force at
+    `start`; steps at or after `end` are ignored.
+    """
+
+    def __init__(self, start: int, end: int, n_flows: int):
+        self.start, self.end = start, end
+        self.flow_bytes = [0] * n_flows
+        self.packets = self.drops = self.marks = self.rtos = 0
+        self.backlog_ns: dict[int, int] = {}
+        self._step_t, self._step_backlog = start, 0  # backlog in force since _step_t
+
+    def backlog(self, now: int, backlog: int) -> None:
+        if now < self.end:
+            if now > self._step_t:
+                held = self._step_backlog
+                self.backlog_ns[held] = self.backlog_ns.get(held, 0) + now - self._step_t
+                self._step_t = now
+            self._step_backlog = backlog
+
+    def departure(self, now: int, flow_id: int, size: int) -> None:
+        if self.start < now <= self.end:
+            self.flow_bytes[flow_id] += size
+            self.packets += 1
+
+    def drop(self, now: int) -> None:
+        if self.start < now <= self.end:
+            self.drops += 1
+
+    def mark(self, now: int) -> None:
+        if self.start < now <= self.end:
+            self.marks += 1
+
+    def rto(self, now: int, flow_id: int) -> None:
+        if self.start < now <= self.end:
+            self.rtos += 1
+
+    def queue_delay_stats(self, capacity_bps: int) -> tuple[int, int]:
+        """Time-weighted mean and 95th percentile of queue delay, in ns.
+
+        The last backlog is held until `end` in a copy, so reads can happen
+        mid-run.  Delay grows with backlog, so the p95 is the first backlog
+        whose running time reaches 95% of the window.
+        """
+        total = self.end - self.start
+        held = dict(self.backlog_ns)
+        held[self._step_backlog] = held.get(self._step_backlog, 0) + self.end - self._step_t
+        delays = {b: transmission_time_ns(b * 8, capacity_bps) for b in held}
+        mean = round(sum(delays[b] * ns for b, ns in held.items()) / total)
+        cutoff, seen = 0.95 * total, 0
+        for backlog in sorted(held):
+            seen += held[backlog]
+            if seen >= cutoff:
+                break
+        return mean, delays[backlog]
+
+
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, tuning: Tuning = DEFAULT_TUNING, trace: bool = False):
+    def __init__(self, cfg: ScenarioConfig, tuning: Tuning = DEFAULT_TUNING):
         self.cfg = cfg
-        self.engine = Engine(seed=cfg.seed, trace=trace)
+        self.engine = Engine(seed=cfg.seed)
+        self.engine.recorder = self.meter = Meter(cfg.warmup, cfg.duration, cfg.n_flows)
         self.ack_blackhole = False
         self._started = False
 
@@ -51,7 +112,6 @@ class Simulation:
             prop_rtt_ns=cfg.base_rtt,
             max_frame=cfg.frame_size,
             deliver=self._deliver_segment,
-            rng=self.engine.stream("aqm/0"),
         )
         self.senders = [
             TcpSender(
@@ -84,13 +144,12 @@ class Simulation:
         self.receivers[packet.flow_id].on_segment(packet)
 
     def _return_ack(self, ack: Ack) -> None:
-        if self.ack_blackhole:
-            return
-        self.engine.schedule(
-            self.engine.now + self.cfg.base_rtt // 2,
-            lambda: self.senders[ack.flow_id].on_ack(ack),
-            tag="ack.deliver",
-        )
+        if not self.ack_blackhole:
+            self.engine.schedule(
+                self.engine.now + self.cfg.base_rtt // 2,
+                lambda: self.senders[ack.flow_id].on_ack(ack),
+                tag="ack.deliver",
+            )
 
     def set_ack_blackhole(self, enabled: bool) -> None:
         self.ack_blackhole = enabled
@@ -109,66 +168,22 @@ class Simulation:
     # -- measurement ----------------------------------------------------------
 
     def metrics(self) -> ScenarioMetrics:
-        cfg = self.cfg
-        start, end = cfg.warmup, cfg.duration
-        window_s = (end - start) / NS_PER_SEC
-        mean_qd, p95_qd = _queue_delay_stats(self.link.backlog_steps, cfg.capacity, start, end)
-
-        flow_bytes = [0] * cfg.n_flows
-        packets = 0
-        for t, flow_id, size in self.link.departures:
-            if start < t <= end:
-                flow_bytes[flow_id] += size
-                packets += 1
-        per_flow_bps = [b * 8 / window_s for b in flow_bytes]
-
+        cfg, meter = self.cfg, self.meter
+        window_s = (cfg.duration - cfg.warmup) / NS_PER_SEC
+        mean_qd, p95_qd = meter.queue_delay_stats(cfg.capacity)
+        per_flow_bps = [b * 8 / window_s for b in meter.flow_bytes]
         mean_rtt_s = (cfg.base_rtt + mean_qd) / NS_PER_SEC
-        pkts_per_rtt = packets / cfg.n_flows / window_s * mean_rtt_s
-
-        rtos = sum(
-            1 for sender in self.senders for t in sender.rto_times if start < t <= end
-        )
+        pkts_per_rtt = meter.packets / cfg.n_flows / window_s * mean_rtt_s
         return ScenarioMetrics(
             mean_queue_delay_ns=mean_qd,
             p95_queue_delay_ns=p95_qd,
             per_flow_throughput_bps=per_flow_bps,
             jain_fairness=jain_fairness(per_flow_bps),
-            total_drops=sum(1 for t in self.link.drop_times if start < t <= end),
-            total_marks=sum(1 for t in self.link.mark_times if start < t <= end),
-            total_rtos=rtos,
+            total_drops=meter.drops,
+            total_marks=meter.marks,
+            total_rtos=meter.rtos,
             mean_pkts_per_rtt_per_flow=pkts_per_rtt,
         )
-
-
-def _queue_delay_stats(steps, capacity_bps, start, end) -> tuple[int, int]:
-    """Time-weighted mean and 95th percentile of queue delay over [start, end]."""
-    pieces: list[tuple[int, int]] = []  # (delay_ns, duration_ns)
-    prev_t, prev_backlog = start, 0
-    for t, backlog in steps:
-        if t <= start:
-            prev_backlog = backlog
-            continue
-        if t >= end:
-            break
-        if t > prev_t:
-            pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), t - prev_t))
-        prev_t, prev_backlog = t, backlog
-    if prev_t < end:
-        pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), end - prev_t))
-    total = end - start
-    if total <= 0 or not pieces:
-        return 0, 0
-    mean = round(sum(delay * dur for delay, dur in pieces) / total)
-    pieces.sort()
-    cutoff = 0.95 * total
-    seen = 0
-    p95 = pieces[-1][0]
-    for delay, dur in pieces:
-        seen += dur
-        if seen >= cutoff:
-            p95 = delay
-            break
-    return mean, p95
 
 
 def run_scenario(cfg: ScenarioConfig, tuning: Tuning = DEFAULT_TUNING) -> ScenarioMetrics:

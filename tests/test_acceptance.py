@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import log_recorder, log_sends
 
 from subpace import cli
 from subpace.config import ScenarioConfig, load_scenario
@@ -30,24 +31,38 @@ def baseline_sim():
     return Simulation(load_scenario(SCENARIO_DIR / "broadband12.txt")).run()
 
 
-@pytest.fixture(scope="module")
-def submss_sim():
-    return Simulation(load_scenario(SCENARIO_DIR / "broadband12_submss.txt")).run()
+def run_logging_sends(name: str):
+    """Run a shipped scenario with flow 0's sends logged; returns (sim, sends)."""
+    sim = Simulation(load_scenario(SCENARIO_DIR / name))
+    sends = log_sends(sim.senders[0])
+    return sim.run(), sends
 
 
 @pytest.fixture(scope="module")
-def nodelack_sim():
-    return Simulation(load_scenario(SCENARIO_DIR / "broadband12_submss_nodelack.txt")).run()
+def submss_run():
+    return run_logging_sends("broadband12_submss.txt")
 
 
 @pytest.fixture(scope="module")
-def reddrop_sim():
-    return Simulation(load_scenario(SCENARIO_DIR / "broadband12_reddrop.txt")).run()
+def submss_sim(submss_run):
+    return submss_run[0]
 
 
-def post_warmup_gaps(sim: Simulation, flow_id: int = 0) -> list[int]:
-    cfg = sim.cfg
-    times = [t for (t, _, _, _) in sim.senders[flow_id].send_log if t > cfg.warmup]
+@pytest.fixture(scope="module")
+def nodelack_run():
+    return run_logging_sends("broadband12_submss_nodelack.txt")
+
+
+@pytest.fixture(scope="module")
+def reddrop_run():
+    sim = Simulation(load_scenario(SCENARIO_DIR / "broadband12_reddrop.txt"))
+    log = log_recorder(sim.engine)
+    return sim.run(), log
+
+
+def post_warmup_gaps(run) -> list[int]:
+    sim, sends = run
+    times = [t for (t, _, _, _) in sends if t > sim.cfg.warmup]
     return [b - a for a, b in zip(times, times[1:])]
 
 
@@ -143,7 +158,8 @@ def test_acceptance_5_continuity_at_boundary():
     report(5, "pacing delay falls monotonically over a 64-point ramp and is 0 at W = s")
 
 
-def test_acceptance_6_delayed_ack_pairing(submss_sim, nodelack_sim):
+def test_acceptance_6_delayed_ack_pairing(submss_run, nodelack_run):
+    submss_sim, nodelack_sim = submss_run[0], nodelack_run[0]
     cfg = submss_sim.cfg
     on_metrics = submss_sim.metrics()
     off_metrics = nodelack_sim.metrics()
@@ -157,19 +173,19 @@ def test_acceptance_6_delayed_ack_pairing(submss_sim, nodelack_sim):
 
     # Pairing: with delayed ACKs the 2-segment grants send back to back, so a
     # large share of inter-send gaps collapse toward zero (bimodal gaps).
-    def short_fraction(sim):
-        gaps = post_warmup_gaps(sim)
+    def short_fraction(run):
+        gaps = post_warmup_gaps(run)
         return sum(1 for g in gaps if g < 200_000) / len(gaps)
 
-    def half_ratio(sim):
-        gaps = sorted(post_warmup_gaps(sim))
+    def half_ratio(run):
+        gaps = sorted(post_warmup_gaps(run))
         half = len(gaps) // 2
         return statistics.mean(gaps[half:]) / max(statistics.mean(gaps[:half]), 1)
 
-    frac_on, frac_off = short_fraction(submss_sim), short_fraction(nodelack_sim)
+    frac_on, frac_off = short_fraction(submss_run), short_fraction(nodelack_run)
     assert frac_on >= 0.25
     assert frac_on >= 2 * frac_off
-    assert half_ratio(submss_sim) >= 1.5
+    assert half_ratio(submss_run) >= 1.5
     report(6, f"delayed-ACK pairing: per-flow rate differs {abs(mean_on - mean_off) / mean_off:.2%}; "
               f"back-to-back gap share {frac_on:.2f} (on) vs {frac_off:.2f} (off)")
 
@@ -185,13 +201,14 @@ def test_acceptance_7_backoff_replacement():
     tuning = Tuning(rto_min=10 * MS, rto_initial=1 * SEC)
     sim = Simulation(cfg, tuning=tuning)
     sender = sim.senders[0]
+    sends = log_sends(sender)
     sim.start()
     sim.engine.run_until(10 * SEC)  # settle into a sub-segment window
 
     sim.set_ack_blackhole(True)
-    mark = len(sender.send_log)
+    mark = len(sends)
     sim.engine.run_until(16 * SEC)
-    retx_times = [t for (t, _, _, retx) in sender.send_log[mark:] if retx]
+    retx_times = [t for (t, _, _, retx) in sends[mark:] if retx]
     assert len(retx_times) >= 7
     intervals = [b - a for a, b in zip(retx_times, retx_times[1:])]
     ratios = [b / a for a, b in zip(intervals, intervals[1:])]
@@ -208,17 +225,18 @@ def test_acceptance_7_backoff_replacement():
         original_on_ack(ack)
 
     sender.on_ack = spy
-    sends_before = len(sender.send_log)
+    sends_before = len(sends)
     sim.engine.run_until(24 * SEC)
     assert ack_seen, "no ACK arrived after the path was restored"
-    next_sends = [t for (t, _, _, _) in sender.send_log[sends_before:] if t >= ack_seen[0]]
+    next_sends = [t for (t, _, _, _) in sends[sends_before:] if t >= ack_seen[0]]
     assert next_sends and next_sends[0] - ack_seen[0] <= 1 * MS
     report(7, f"backoff replacement: retransmission interval ratios "
               f"{[round(r, 2) for r in ratios[:5]]} -> 2; one ACK re-enables sending "
               f"within {(next_sends[0] - ack_seen[0]) / MS:.3f} ms")
 
 
-def test_acceptance_8_non_ecn_red_drop(reddrop_sim):
+def test_acceptance_8_non_ecn_red_drop(reddrop_run):
+    reddrop_sim, log = reddrop_run
     cfg = reddrop_sim.cfg
     metrics = reddrop_sim.metrics()
     assert metrics.total_rtos > 0
@@ -228,7 +246,7 @@ def test_acceptance_8_non_ecn_red_drop(reddrop_sim):
     # Shuffling: in most one-second slices some flow runs far below its share
     # while others progress (timeout lulls versus catch-up bursts).
     bins = defaultdict(lambda: [0] * cfg.n_flows)
-    for t, flow_id, size in reddrop_sim.link.departures:
+    for t, flow_id, size in log.of("departure"):
         if t > cfg.warmup:
             bins[t // SEC][flow_id] += size
     starved = 0

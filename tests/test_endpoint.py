@@ -1,4 +1,5 @@
 import pytest
+from conftest import log_recorder
 from hypothesis import given, strategies as st
 
 from subpace.endpoint import Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
@@ -227,6 +228,35 @@ def test_dctcp_alpha_stays_in_unit_interval(fractions):
         assert 0.0 <= alpha <= 1.0
 
 
+# -- invariant checks ---------------------------------------------------------
+# Raised as ProtocolError rather than asserted, so they still run under -O.
+
+def test_send_to_minus_mss_raises():
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender.snd_q = M
+    sender.window = 0
+    with pytest.raises(ProtocolError):
+        sender._emit_new(engine.now, M)  # would leave the window at exactly -MSS
+
+
+def test_baseline_reduce_below_floor_raises():
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, mode="baseline")
+    sender.window = 0
+    with pytest.raises(ProtocolError):
+        sender._reduce()
+
+
+def test_submss_rto_without_clocking_credit_raises():
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender.snd_nxt = M  # data in flight
+    sender.window = 0  # and no credit for it anywhere
+    with pytest.raises(ProtocolError):
+        sender._on_rto()
+
+
 # -- retransmission timeouts --------------------------------------------------
 
 def test_baseline_rto_resets_to_floor_and_doubles_timer():
@@ -234,13 +264,14 @@ def test_baseline_rto_resets_to_floor_and_doubles_timer():
     sent = []
     tuning = Tuning(rto_min=200 * MS, rto_initial=1 * SEC)
     sender = make_sender(engine, sent.append, mode="baseline", tuning=tuning)
+    log = log_recorder(engine)
     sender.slow_start = False
     sender.window = 8 * M
     sender.app_write(100 * M)
     engine.run_until(1 * MS)
     before = sender.current_rto()
     engine.run_until(2_500 * MS)  # exactly one RTO fires, no ACKs ever arrive
-    assert sender.rto_times
+    assert log.of("rto")
     assert sender.window == 2 * M
     assert sender.current_rto() == min(2 * before, 60 * SEC)
     assert any(p.is_retransmission for p in sent)

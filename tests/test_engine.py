@@ -68,12 +68,13 @@ def test_clock_is_monotone_during_delivery():
 
 def test_trace_is_identical_across_reruns():
     def run():
-        engine = Engine(seed=7, trace=True)
+        engine = Engine(seed=7)
         rng = engine.stream("aqm/0")
+        trace = []
         for i in range(50):
-            engine.schedule(i * 3, lambda: rng.random(), tag=f"e{i}")
+            engine.schedule(i * 3, lambda i=i: trace.append((engine.now, i, rng.random())))
         engine.run_until(500)
-        return engine.trace
+        return trace
 
     assert run() == run()
 

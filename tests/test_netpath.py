@@ -1,4 +1,5 @@
 import pytest
+from conftest import log_recorder
 from hypothesis import given, settings, strategies as st
 
 from subpace.engine import MS, Engine
@@ -29,9 +30,10 @@ def test_serialization_time_oracle():
     engine = Engine()
     delivered = []
     link = make_link(engine, delivered, policy="drop-tail")
+    log = log_recorder(engine)
     link.enqueue(frame())
     engine.run_until(10 * MS)
-    assert link.departures[0][0] == 303_600
+    assert log.of("departure")[0][0] == 303_600
 
 
 def test_queue_delay_oracles():
@@ -95,10 +97,11 @@ def test_work_conservation_no_idle_gap():
     engine = Engine()
     delivered = []
     link = make_link(engine, delivered, policy="drop-tail")
+    log = log_recorder(engine)
     link.enqueue(frame())
     link.enqueue(frame(seq=1460))
     engine.run_until(10 * MS)
-    first, second = link.departures[0][0], link.departures[1][0]
+    first, second = log.of("departure")[0][0], log.of("departure")[1][0]
     assert second - first == 303_600  # back to back, link never idle
 
 
@@ -118,12 +121,13 @@ def test_ramp_mark_never_drops_ecn_below_buffer_limit():
     engine = Engine()
     delivered = []
     link = make_link(engine, delivered)
+    log = log_recorder(engine)
     sent = 0
     for i in range(300):
         if link.backlog + 1518 <= link.buffer_limit:
             assert link.enqueue(frame(seq=i * 1460)) in (QUEUED, MARKED)
             sent += 1
-    assert sent > 0 and not link.drop_times
+    assert sent > 0 and not log.of("drop")
 
 
 def test_buffer_must_exceed_target_equivalent():

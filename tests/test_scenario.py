@@ -1,12 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import log_recorder, log_sends
+from hypothesis import example, given, strategies as st
 
 from subpace import cli
 from subpace.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
-from subpace.engine import MS, SEC
+from subpace.engine import MS, SEC, transmission_time_ns
 from subpace.scenario import (
+    Meter,
     Simulation,
     render_metrics_csv,
     render_sweep_csv,
@@ -85,6 +89,21 @@ def test_invalid_values_name_the_field():
         with pytest.raises(ConfigError) as err:
             parse_scenario_text(SMALL.replace(original, mutated))
         assert field_name in str(err.value)
+
+
+def test_non_finite_and_overflowing_numbers_name_the_field():
+    cases = {
+        "capacity = 10 mbps": [("capacity = inf", "capacity"),
+                               ("capacity = 1e400mbps", "capacity")],
+        "base_rtt = 1 ms": [("base_rtt = nan ms", "base_rtt")],
+        "duration = 4 s": [("duration = -inf s", "duration")],
+        "buffer_limit = 100 KB": [("buffer_limit = 1e308 MB", "buffer_limit")],
+    }
+    for original, mutations in cases.items():
+        for mutated, field_name in mutations:
+            with pytest.raises(ConfigError) as err:
+                parse_scenario_text(SMALL.replace(original, mutated))
+            assert err.value.field_name == field_name
 
 
 def test_comments_and_blank_lines_ignored():
@@ -184,9 +203,99 @@ def test_queue_delay_grows_with_flow_count_once_floor_binds():
 
 def test_event_trace_is_reproducible():
     cfg = small_config(duration=1 * SEC, warmup=250 * MS)
-    trace_a = Simulation(cfg, trace=True).run().engine.trace
-    trace_b = Simulation(cfg, trace=True).run().engine.trace
+
+    def trace():
+        sim = Simulation(cfg)
+        log = log_recorder(sim.engine)
+        sends = [log_sends(sender) for sender in sim.senders]
+        sim.run()
+        return log.rows, sends
+
+    trace_a, trace_b = trace(), trace()
+    assert trace_a[0] and all(trace_a[1])
     assert trace_a == trace_b
+
+
+# -- streaming metrics ----------------------------------------------------------
+
+def reference_queue_delay_stats(steps, capacity_bps, start, end) -> tuple[int, int]:
+    """Time-weighted mean and p95 of queue delay from a full step log (sort-based)."""
+    pieces: list[tuple[int, int]] = []  # (delay_ns, duration_ns)
+    prev_t, prev_backlog = start, 0
+    for t, backlog in steps:
+        if t <= start:
+            prev_backlog = backlog
+            continue
+        if t >= end:
+            break
+        if t > prev_t:
+            pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), t - prev_t))
+        prev_t, prev_backlog = t, backlog
+    if prev_t < end:
+        pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), end - prev_t))
+    total = end - start
+    if total <= 0 or not pieces:
+        return 0, 0
+    mean = round(sum(delay * dur for delay, dur in pieces) / total)
+    pieces.sort()
+    cutoff = 0.95 * total
+    seen = 0
+    p95 = pieces[-1][0]
+    for delay, dur in pieces:
+        seen += dur
+        if seen >= cutoff:
+            p95 = delay
+            break
+    return mean, p95
+
+
+@st.composite
+def step_logs(draw):
+    start = draw(st.integers(min_value=0, max_value=1_000))
+    end = start + draw(st.integers(min_value=1, max_value=1_000))
+    # Steps land exactly on the window edges often, and repeat timestamps.
+    times = draw(st.lists(st.one_of(st.sampled_from([0, start, end]),
+                                    st.integers(min_value=0, max_value=end + 100)),
+                          max_size=40))
+    backlogs = st.integers(min_value=0, max_value=60).map(lambda k: k * 1518 // 2)
+    steps = [(t, draw(backlogs)) for t in sorted(times)]
+    capacity = draw(st.sampled_from([1_000_000, 40_000_000, 20_000_000_000]))
+    return start, end, steps, capacity
+
+
+@given(step_logs(), st.integers(min_value=0, max_value=40))
+@example(log=(0, 20, [(19, 1518)], 40_000_000), read_at=0)  # 95% reached exactly
+def test_meter_matches_sorting_reference(log, read_at):
+    start, end, steps, capacity = log
+    meter = Meter(start, end, n_flows=1)
+    for i, (t, backlog) in enumerate(steps):
+        if i == read_at:  # a mid-run read must not disturb what follows
+            assert meter.queue_delay_stats(capacity) == reference_queue_delay_stats(
+                steps[:i], capacity, start, end)
+        meter.backlog(t, backlog)
+        meter.departure(t, 0, backlog)
+        meter.drop(t)
+        meter.mark(t)
+        meter.rto(t, 0)
+    expected = reference_queue_delay_stats(steps, capacity, start, end)
+    assert meter.queue_delay_stats(capacity) == expected
+    assert meter.queue_delay_stats(capacity) == expected
+    inside = [(t, b) for t, b in steps if start < t <= end]
+    assert meter.drops == meter.marks == meter.rtos == meter.packets == len(inside)
+    assert meter.flow_bytes == [sum(b for _, b in inside)]
+
+
+def test_memory_does_not_grow_with_run_length():
+    def peak_bytes(duration):
+        tracemalloc.start()
+        try:
+            Simulation(small_config(duration=duration)).run().metrics()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(2 * SEC), peak_bytes(8 * SEC)
+    assert long < 1.5 * short
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -245,6 +354,26 @@ def test_cli_regions(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "rtt_ns,rate_bps,window_mss,diagonal"
     assert lines[1].endswith(",1")  # exactly on the 1-MSS diagonal
+
+
+def test_cli_floor_and_regions_take_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["floor", "--capacity", "40mbps", "--flows", "12",
+                  "--frame", "1518B", "--rtt", "6ms", "--seed", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["regions", "--rtt-min", "6ms", "--rtt-max", "6ms",
+                  "--rate-min", "2mbps", "--rate-max", "2mbps", "--mss", "1500B",
+                  "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_non_finite_number_reports_field_and_fails(tmp_path, capsys):
+    scenario = tmp_path / "inf.txt"
+    scenario.write_text(SMALL.replace("capacity = 10 mbps", "capacity = inf"))
+    assert cli.main(["run", str(scenario)]) == 1
+    assert "capacity" in capsys.readouterr().err
 
 
 def test_cli_bad_config_reports_field_and_fails(tmp_path, capsys):
