@@ -10,7 +10,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 from .endpoint import CC_VARIANTS, SENDER_MODES
 from .engine import NS_PER_SEC
-from .netpath import AQM_POLICIES, buffer_limit_problem
+from .netpath import AQM_POLICIES, link_problem
 
 
 class ConfigError(ValueError):
@@ -102,18 +102,18 @@ class ScenarioConfig:
     buffer_limit: int  # bytes
     sender_mode: str
     duration: int  # ns
-    aqm_ceiling: int = 0  # ns; 0 means the 2x-target default
+    aqm_ceiling: int | None = None  # ns; None means twice aqm_target
     cc_variant: str = "reno-like"
     ecn: bool = True
     delayed_acks: bool = True
-    warmup: int = -1  # ns; negative means the duration/4 default
+    warmup: int | None = None  # ns; None means a quarter of duration
     seed: int = 1
     w_min_fraction: float = 1.0 / 64.0
 
     def __post_init__(self):
-        if self.aqm_ceiling == 0:
+        if self.aqm_ceiling is None:
             self.aqm_ceiling = 2 * self.aqm_target
-        if self.warmup < 0:
+        if self.warmup is None:
             self.warmup = self.duration // 4
         self.validate()
 
@@ -123,17 +123,15 @@ class ScenarioConfig:
                 raise ConfigError(name, "must be positive")
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
-        if self.aqm_policy not in AQM_POLICIES:
-            raise ConfigError("aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}")
         if self.sender_mode not in SENDER_MODES:
             raise ConfigError("sender_mode", f"expected one of {', '.join(SENDER_MODES)}")
         if self.cc_variant not in CC_VARIANTS:
             raise ConfigError("cc_variant", f"expected one of {', '.join(CC_VARIANTS)}")
-        if self.aqm_policy != "drop-tail" and self.aqm_ceiling <= self.aqm_target:
-            raise ConfigError("aqm_ceiling", "must exceed aqm_target")
-        problem = buffer_limit_problem(self.buffer_limit, self.capacity, self.aqm_target)
+        problem = link_problem(
+            self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling
+        )
         if problem:
-            raise ConfigError("buffer_limit", problem)
+            raise ConfigError(*problem)
         if not 0 <= self.warmup < self.duration:
             raise ConfigError("warmup", "must satisfy 0 <= warmup < duration")
         if not 0 < self.w_min_fraction <= 1:

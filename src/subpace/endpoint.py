@@ -18,7 +18,7 @@ any ACK covering a CE-marked segment.
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import MS, SEC, Engine
+from .engine import MS, SEC, Engine, Timer
 from .netpath import Packet
 from .pacing import Pacer, segment_size
 
@@ -121,7 +121,7 @@ class TcpSender:
         self._dctcp_window_end = 0
 
         self.pacer = Pacer(engine, tuning.initial_rtt, self._on_pacer_ready)
-        self._rto_timer = None
+        self.rto_timer = Timer(engine, self._on_rto, "rto")
 
     # -- window bookkeeping -------------------------------------------------
 
@@ -165,7 +165,7 @@ class TcpSender:
         while True:
             retx, payload = self._next_segment()
             if payload == 0:
-                self.pacer.cancel()
+                self.pacer.timer.stop()
                 return
             if self.mode == BASELINE:
                 if retx is not None:
@@ -207,8 +207,8 @@ class TcpSender:
             if self.window <= -self.mss:
                 raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
         self._transmit(record)
-        if self._rto_timer is None:
-            self._arm_rto(now)
+        if self.rto_timer.deadline is None:
+            self.rto_timer.set(now + self.current_rto())
 
     def _emit(self, now: int, record: SegmentRecord) -> None:
         """Retransmit an existing segment; never touches the clocking window."""
@@ -216,7 +216,7 @@ class TcpSender:
         record.sent_at = now
         self.pending_retx = None
         self._transmit(record)
-        self._arm_rto(now)
+        self.rto_timer.set(now + self.current_rto())
 
     def _transmit(self, record: SegmentRecord) -> None:
         self.transmit(
@@ -269,9 +269,9 @@ class TcpSender:
                 self._on_loss_detected(now)
 
         if self.in_flight == 0:
-            self._cancel_rto()
+            self.rto_timer.stop()
         elif advance > 0:
-            self._arm_rto(now)
+            self.rto_timer.set(now + self.current_rto())
 
         if self.srtt is not None:
             self.pacer.update_rtt(self.srtt)
@@ -368,18 +368,8 @@ class TcpSender:
         if self.segments:
             self.pending_retx = self.segments[0]
 
-    def _arm_rto(self, now: int) -> None:
-        self._cancel_rto()
-        self._rto_timer = self.engine.schedule(now + self.current_rto(), self._on_rto, tag="rto")
-
-    def _cancel_rto(self) -> None:
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
-
     def _on_rto(self) -> None:
         now = self.engine.now
-        self._rto_timer = None
         if self.in_flight == 0:
             return
         self.engine.recorder.rto(now, self.flow_id)
@@ -408,7 +398,7 @@ class TcpSender:
     def _after_window_change(self, now: int) -> None:
         _, payload = self._next_segment()
         if payload == 0:
-            self.pacer.cancel()
+            self.pacer.timer.stop()
             return
         if self.mode == SUBMSS and self.pacer.waiting:
             self.pacer.window_changed(now, payload, self.window)
@@ -432,15 +422,14 @@ class TcpReceiver:
         self.flow_id = flow_id
         self.frame_overhead = frame_overhead
         self.send_ack = send_ack
-        self.delayed_acks = delayed_acks
-        self.ack_every = tuning.ack_every
+        self.ack_every = tuning.ack_every if delayed_acks else 1
         self.delack_timeout = tuning.delack_timeout
 
         self.rcv_nxt = 0
         self.pending_segments = 0
         self.ece_latch = False
         self._ooo: dict[int, int] = {}  # start -> end of buffered ranges
-        self._delack_timer = None
+        self.delack_timer = Timer(engine, self._on_delack_timer, "delack")
 
     def on_segment(self, packet: Packet) -> None:
         now = self.engine.now
@@ -454,12 +443,10 @@ class TcpReceiver:
             self.rcv_nxt += payload
             filled_hole = self._absorb_buffered()
             self.pending_segments += 1
-            if not self.delayed_acks or filled_hole or self.pending_segments >= self.ack_every:
+            if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()
-            elif self._delack_timer is None:
-                self._delack_timer = self.engine.schedule(
-                    now + self.delack_timeout, self._on_delack_timer, tag="delack"
-                )
+            elif self.delack_timer.deadline is None:
+                self.delack_timer.set(now + self.delack_timeout)
         elif packet.seq_bytes > self.rcv_nxt:
             end = packet.seq_bytes + payload
             if self._ooo.get(packet.seq_bytes, 0) < end:
@@ -477,14 +464,11 @@ class TcpReceiver:
         return filled
 
     def _on_delack_timer(self) -> None:
-        self._delack_timer = None
         if self.pending_segments > 0:
             self._emit_ack()
 
     def _emit_ack(self) -> None:
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
-            self._delack_timer = None
+        self.delack_timer.stop()
         self.pending_segments = 0
         ece = self.ece_latch
         self.ece_latch = False

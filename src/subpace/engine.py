@@ -44,6 +44,42 @@ class ScheduledEvent:
         self.cancelled = True
 
 
+class Timer:
+    """One pending `action` per owner, scheduled on `engine` under `tag`.
+
+    `set(at)` replaces any pending firing with one at `at`; `stop()` drops it.
+    `deadline` is the pending firing time, None when nothing is pending, and
+    is already None while `action` runs, so the action may `set` again.
+    """
+
+    __slots__ = ("engine", "action", "tag", "deadline", "_event")
+
+    def __init__(self, engine: "Engine", action, tag: str):
+        self.engine = engine
+        self.action = action
+        self.tag = tag
+        self.deadline: int | None = None
+        self._event: ScheduledEvent | None = None
+
+    def set(self, at: int) -> None:
+        event = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
+        if self._event is not None:
+            self._event.cancel()
+        self._event = event
+        self.deadline = at
+
+    def stop(self) -> None:
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+            self.deadline = None
+
+    def _fire(self) -> None:
+        self._event = None
+        self.deadline = None
+        self.action()
+
+
 class Recorder:
     """What the link and senders observe, stamped with `now`; this base ignores it.
 

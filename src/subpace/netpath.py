@@ -38,11 +38,21 @@ class Packet:
             raise ValueError("ce_marked requires ecn_capable")
 
 
-def buffer_limit_problem(buffer_limit: int, capacity_bps: int, target_delay_ns: int) -> str | None:
-    """Why the buffer cannot hold more than the target delay's bytes, or None."""
+def link_problem(
+    policy: str, capacity_bps: int, buffer_limit: int, target_delay_ns: int, ramp_ceiling_ns: int
+) -> tuple[str, str] | None:
+    """The first scenario key that makes this AQM link unworkable and why, or None.
+
+    The policy must be known, the buffer must hold more than the target
+    delay's bytes, and a signalling policy's ramp must rise above the target.
+    """
     target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
+    if policy not in AQM_POLICIES:
+        return "aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}"
     if buffer_limit <= target_bytes:
-        return f"must exceed the target delay's {target_bytes} B, got {buffer_limit} B"
+        return "buffer_limit", f"must exceed the target's {target_bytes} B, got {buffer_limit} B"
+    if policy != "drop-tail" and ramp_ceiling_ns <= target_delay_ns:
+        return "aqm_ceiling", f"must exceed the {target_delay_ns} ns target, got {ramp_ceiling_ns}"
     return None
 
 
@@ -66,15 +76,11 @@ class AqmLink:
         max_frame: int,
         deliver,
     ):
-        if policy not in AQM_POLICIES:
-            raise ValueError(f"unknown AQM policy {policy!r}")
         if capacity_bps <= 0:
             raise ValueError("capacity must be positive")
-        problem = buffer_limit_problem(buffer_limit, capacity_bps, target_delay_ns)
+        problem = link_problem(policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns)
         if problem:
-            raise ValueError("buffer_limit " + problem)
-        if policy != "drop-tail" and ramp_ceiling_ns <= target_delay_ns:
-            raise ValueError("ramp_ceiling must exceed target_delay")
+            raise ValueError("%s: %s" % problem)
         self.engine = engine
         self.capacity_bps = capacity_bps
         self.buffer_limit = buffer_limit

@@ -8,7 +8,7 @@ The wait is computed with wide integer arithmetic, (s - W) * R / W, rounded
 half up, which is overflow-safe and exact at W = s.
 """
 
-from .engine import Engine, div_round_half_up
+from .engine import Engine, Timer, div_round_half_up
 
 
 def segment_size(mss: int, snd_q: int) -> int:
@@ -40,9 +40,10 @@ class Pacer:
 
     At most one wait is pending.  A wait cycle is anchored at the time it was
     armed (the window-changing event); a mid-wait window change rebases the
-    wait against that same epoch.  When the window is non-positive the pacer
-    parks until the next increase.  The retained RTT estimate is the last
-    smoothed sample and is deliberately left unchanged across idle periods.
+    wait against that same epoch.  A non-positive window arms no wait: the
+    sender asks again after the next increase.  The retained RTT estimate is
+    the last smoothed sample and is deliberately left unchanged across idle
+    periods.
     """
 
     def __init__(self, engine: Engine, initial_rtt: int, on_ready):
@@ -50,13 +51,11 @@ class Pacer:
         self.last_rtt = initial_rtt
         self.on_ready = on_ready
         self.epoch: int | None = None
-        self.wait_until: int | None = None
-        self.parked = False
-        self._timer = None
+        self.timer = Timer(engine, self._fire, "pacer.fire")
 
     @property
     def waiting(self) -> bool:
-        return self._timer is not None
+        return self.timer.deadline is not None
 
     def update_rtt(self, rtt: int) -> None:
         if rtt <= 0:
@@ -66,59 +65,34 @@ class Pacer:
     def request(self, now: int, seg: int, window: int) -> bool:
         """Ask to send `seg` bytes now.  True means send immediately.
 
-        Otherwise the pacer either armed a timed wait or parked awaiting a
-        window increase; on_ready fires when the wait elapses.
+        Otherwise either a timed wait is pending, and on_ready fires when it
+        elapses, or the window is non-positive and nothing is armed.
         """
         if self.waiting:
             return False
         if window >= seg:
-            self.parked = False
             return True
         if window <= 0:
-            self.parked = True
             return False
-        self.parked = False
         delay = pacing_delay(seg, window, self.last_rtt)
         if delay == 0:
             return True
         self.epoch = now
-        self._arm(now + delay)
+        self.timer.set(now + delay)
         return False
 
     def window_changed(self, now: int, seg: int, window: int) -> None:
-        """Rebase a pending wait after the window moved; park if it went <= 0."""
+        """Rebase a pending wait after the window moved; drop it if it went <= 0."""
         if not self.waiting:
             return
         if window <= 0:
-            self.cancel()
-            self.parked = True
+            self.timer.stop()
             return
         target = self.epoch + pacing_delay(seg, window, self.last_rtt)
-        if target == self.wait_until:
-            return
-        self._timer.cancel()
-        if target <= now:
-            # Entitlement already earned; fire through the queue so delivery
-            # order stays deterministic.
-            self._timer = self.engine.schedule(now, self._fire, tag="pacer.fire")
-            self.wait_until = now
-        else:
-            self._timer = self.engine.schedule(target, self._fire, tag="pacer.fire")
-            self.wait_until = target
-
-    def cancel(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self.wait_until = None
-        self.epoch = None
-
-    def _arm(self, wait_until: int) -> None:
-        self.wait_until = wait_until
-        self._timer = self.engine.schedule(wait_until, self._fire, tag="pacer.fire")
+        if target != self.timer.deadline:
+            # An entitlement already earned fires through the queue at `now`,
+            # so delivery order stays deterministic.
+            self.timer.set(max(target, now))
 
     def _fire(self) -> None:
-        self._timer = None
-        self.wait_until = None
-        self.epoch = None
         self.on_ready(self.engine.now)

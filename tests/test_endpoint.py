@@ -285,13 +285,13 @@ def test_submss_rto_sequence_halves_window_geometrically():
     tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
     sender = make_sender(engine, lambda p: None, tuning=tuning, w_min=M // 64)
     sender.window = M // 2
-    original = sender._on_rto
+    original = sender.rto_timer.action
 
     def spy():
         original()
         windows.append(sender.window)
 
-    sender._on_rto = spy  # every timer arm resolves the attribute, so all fire here
+    sender.rto_timer.action = spy  # the timer looks its action up on every firing
     sender.app_write(M)
     engine.run_until(300 * SEC)
     assert windows[:3] == [M // 4, M // 8, M // 16]
@@ -514,4 +514,4 @@ def test_wait_expiry_with_no_data_disarms_pacer():
     sender.snd_q = 0  # data withdrawn before the wait elapses
     engine.run_until(1 * SEC)
     assert sent == []
-    assert not sender.pacer.waiting and sender.pacer.wait_until is None
+    assert not sender.pacer.waiting and sender.pacer.timer.deadline is None

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from subpace.engine import MS, Engine, div_round_half_up, transmission_time_ns
+from subpace.engine import MS, Engine, Timer, div_round_half_up, transmission_time_ns
 
 
 def test_fifo_tie_break_at_equal_times():
@@ -102,6 +102,66 @@ def test_seeded_uniform_mean_near_half():
     n = 10**6
     mean = sum(rng.random() for _ in range(n)) / n
     assert abs(mean - 0.5) < 0.01
+
+
+def test_timer_second_set_replaces_first():
+    engine = Engine()
+    fired = []
+    timer = Timer(engine, lambda: fired.append(engine.now), "t")
+    timer.set(10)
+    timer.set(7)
+    assert timer.deadline == 7
+    engine.run_until(100)
+    assert fired == [7]
+
+
+def test_timer_stop_is_idempotent_and_final():
+    engine = Engine()
+    fired = []
+    timer = Timer(engine, lambda: fired.append(engine.now), "t")
+    timer.stop()
+    timer.set(10)
+    timer.stop()
+    timer.stop()
+    assert timer.deadline is None
+    engine.run_until(100)
+    assert fired == []
+
+
+def test_timer_deadline_is_none_inside_and_after_its_action():
+    engine = Engine()
+    seen = []
+    timer = Timer(engine, lambda: seen.append(timer.deadline), "t")
+    timer.set(5)
+    engine.run_until(100)
+    assert seen == [None]
+    assert timer.deadline is None
+
+
+def test_timer_set_from_its_own_action_rearms():
+    engine = Engine()
+    fired = []
+
+    def action():
+        fired.append(engine.now)
+        if len(fired) < 3:
+            timer.set(engine.now + 10)
+
+    timer = Timer(engine, action, "t")
+    timer.set(5)
+    engine.run_until(100)
+    assert fired == [5, 15, 25]
+    assert timer.deadline is None
+
+
+def test_timer_fires_after_plain_event_scheduled_earlier_at_same_time():
+    engine = Engine()
+    order = []
+    engine.schedule(5, lambda: order.append("plain"))
+    timer = Timer(engine, lambda: order.append("timer"), "t")
+    timer.set(5)
+    engine.run_until(10)
+    assert order == ["plain", "timer"]
 
 
 def test_div_round_half_up():

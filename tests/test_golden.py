@@ -1,0 +1,48 @@
+"""Pinned metrics CSV of every shipped scenario on a short run.
+
+Each shipped scenario runs at seeds 1 and 2 with a 1 s warmup and a 4 s
+duration, which covers the drop, mark, RTO and delayed-ACK paths.  A hash
+that stops matching means the simulator's output changed.  Changing a hash
+here is a deliberate re-baseline: the ROADMAP contract asks that such a
+change go in its own change, with the reason written in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from subpace.config import load_scenario, with_value
+from subpace.engine import SEC
+from subpace.scenario import render_metrics_csv, run_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+GOLDEN_SHA256 = {
+    ("broadband12", 1): "eaeb6256b3e775dfbd9e890b75176c5c34f02002b14e902bc7fc29c17f1d4e3b",
+    ("broadband12", 2): "721cca6d69b633c81ef26330e7bf24b6922d0de22e2dd39f0587a0e4d7fbdce1",
+    ("broadband12_reddrop", 1): "a45e533e8063abc9599fbb66f2a9e7180a245c1da3e4c18921fe061fa306cad2",
+    ("broadband12_reddrop", 2): "125d0c777458d6f904b4270dd9bc60cd6998491a651d7bbfc4888db0ef2df113",
+    ("broadband12_submss", 1): "076514948a17a7257d7e04789b9bfba7554afa56d6ffccbb467a6a2551e0a678",
+    ("broadband12_submss", 2): "e9ce12b769ae54c200cc341a0043de136472c8fca81e86c6824c26affadfca91",
+    ("broadband12_submss_nodelack", 1):
+        "706359a98d349feaebd54b02ebaa3489170602a9478d8d58caaf64a1f32f914f",
+    ("broadband12_submss_nodelack", 2):
+        "d8fe09dabe618d918330202de75b30ccd99cd95f1d2354248eca73b40f702e67",
+}
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert {name for name, _ in GOLDEN_SHA256} == {p.stem for p in SCENARIO_DIR.glob("*.txt")}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_SHA256))
+def test_short_run_csv_matches_pinned_hash(name, seed):
+    cfg = load_scenario(SCENARIO_DIR / f"{name}.txt")
+    # Warmup first: with_value validates each step, and a 4 s duration is
+    # below the files' 15 s warmup.
+    cfg = with_value(cfg, "warmup", 1 * SEC)
+    cfg = with_value(cfg, "duration", 4 * SEC)
+    cfg = with_value(cfg, "seed", seed)
+    csv = render_metrics_csv(run_scenario(cfg))
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[(name, seed)]

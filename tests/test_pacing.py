@@ -105,7 +105,7 @@ def test_pacer_immediate_when_window_covers_segment():
 def test_pacer_parks_on_non_positive_window():
     h = PacerHarness()
     assert h.pacer.request(0, 1460, 0) is False
-    assert h.pacer.parked and not h.pacer.waiting
+    assert not h.pacer.waiting
     h.engine.run_until(50 * MS)
     assert h.fired_at == []
 
@@ -113,10 +113,10 @@ def test_pacer_parks_on_non_positive_window():
 def test_window_increase_moves_wait_earlier():
     h = PacerHarness()
     h.pacer.request(0, 1460, 365)  # d = 18 ms
-    first_target = h.pacer.wait_until
+    first_target = h.pacer.timer.deadline
     h.pacer.window_changed(0, 1460, 730)  # doubled: d = 6 ms
-    assert h.pacer.wait_until < first_target
-    assert h.pacer.wait_until == pacing_delay(1460, 730, 6 * MS)
+    assert h.pacer.timer.deadline < first_target
+    assert h.pacer.timer.deadline == pacing_delay(1460, 730, 6 * MS)
     h.engine.run_until(30 * MS)
     assert h.fired_at == [6 * MS]
 
@@ -135,7 +135,7 @@ def test_window_halving_mid_wait_moves_wait_later():
     h.pacer.request(0, 1460, 730)  # d = 6 ms
     h.engine.run_until(2 * MS)
     h.pacer.window_changed(h.engine.now, 1460, 365)  # d = 18 ms from epoch 0
-    assert h.pacer.wait_until == 18 * MS
+    assert h.pacer.timer.deadline == 18 * MS
     h.engine.run_until(30 * MS)
     assert h.fired_at == [18 * MS]
 
@@ -144,7 +144,7 @@ def test_window_collapse_mid_wait_parks():
     h = PacerHarness()
     h.pacer.request(0, 1460, 730)
     h.pacer.window_changed(0, 1460, -100)
-    assert h.pacer.parked and not h.pacer.waiting
+    assert not h.pacer.waiting
     h.engine.run_until(60 * MS)
     assert h.fired_at == []
 
@@ -155,4 +155,4 @@ def test_epoch_is_preserved_across_rebases():
     h.engine.run_until(1 * MS)
     h.pacer.window_changed(h.engine.now, 1460, 500)
     # Rebased against epoch 0, not against the change time.
-    assert h.pacer.wait_until == pacing_delay(1460, 500, 6 * MS)
+    assert h.pacer.timer.deadline == pacing_delay(1460, 500, 6 * MS)

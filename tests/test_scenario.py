@@ -8,7 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from subpace import cli
 from subpace.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
-from subpace.engine import MS, SEC, transmission_time_ns
+from subpace.engine import MS, SEC, Engine, transmission_time_ns
+from subpace.netpath import AqmLink
 from subpace.scenario import (
     Meter,
     Simulation,
@@ -79,16 +80,38 @@ def test_missing_required_key_names_it():
 
 
 def test_invalid_values_name_the_field():
-    cases = {
-        "smss = 1460 B": ("smss = 1600 B", "smss"),
-        "warmup = 1 s": ("warmup = 5 s", "warmup"),
-        "buffer_limit = 100 KB": ("buffer_limit = 6 KB", "buffer_limit"),
-        "aqm_policy = ramp-mark": ("aqm_policy = codel", "aqm_policy"),
-    }
-    for original, (mutated, field_name) in cases.items():
+    cases = [
+        ("smss = 1460 B", "smss = 1600 B", "smss"),
+        ("warmup = 1 s", "warmup = 5 s", "warmup"),
+        ("warmup = 1 s", "warmup = -5 s", "warmup"),
+        ("aqm_ceiling = 10 ms", "aqm_ceiling = 0 ms", "aqm_ceiling"),
+        ("buffer_limit = 100 KB", "buffer_limit = 6 KB", "buffer_limit"),
+        ("aqm_policy = ramp-mark", "aqm_policy = codel", "aqm_policy"),
+    ]
+    for original, mutated, field_name in cases:
         with pytest.raises(ConfigError) as err:
             parse_scenario_text(SMALL.replace(original, mutated))
         assert field_name in str(err.value)
+
+
+def test_link_checks_give_the_same_message_from_config_and_link():
+    cfg = parse_scenario_text(SMALL)
+    link_args = dict(
+        capacity_bps=cfg.capacity, buffer_limit=cfg.buffer_limit, policy=cfg.aqm_policy,
+        target_delay_ns=cfg.aqm_target, ramp_ceiling_ns=cfg.aqm_ceiling,
+        prop_rtt_ns=cfg.base_rtt, max_frame=cfg.frame_size, deliver=lambda p: None,
+    )
+    cases = [
+        ("aqm_ceiling", "ramp_ceiling_ns", cfg.aqm_target),
+        ("aqm_policy", "policy", "codel"),
+    ]
+    for field_name, link_arg, value in cases:
+        with pytest.raises(ConfigError) as config_err:
+            replace(cfg, **{field_name: value})
+        with pytest.raises(ValueError) as link_err:
+            AqmLink(Engine(), **{**link_args, link_arg: value})
+        assert config_err.value.field_name == field_name
+        assert str(link_err.value) == str(config_err.value)
 
 
 def test_non_finite_and_overflowing_numbers_name_the_field():
