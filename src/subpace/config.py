@@ -6,11 +6,11 @@ taken in the field's base unit (ns, bit/s, bytes).
 """
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .endpoint import CC_VARIANTS, SENDER_MODES
+from .endpoint import sender_problem
 from .engine import NS_PER_SEC
-from .netpath import AQM_POLICIES, link_problem
+from .netpath import link_problem
 
 
 class ConfigError(ValueError):
@@ -78,14 +78,8 @@ def parse_float(field_name: str, raw: str) -> float:
         raise ConfigError(field_name, f"expected a number, got {raw!r}") from None
 
 
-def parse_choice(choices):
-    def parser(field_name: str, raw: str) -> str:
-        text = raw.strip()
-        if text not in choices:
-            raise ConfigError(field_name, f"expected one of {', '.join(choices)}, got {raw!r}")
-        return text
-
-    return parser
+def parse_text(field_name: str, raw: str) -> str:
+    return raw.strip()
 
 
 @dataclass
@@ -109,8 +103,11 @@ class ScenarioConfig:
     warmup: int | None = None  # ns; None means a quarter of duration
     seed: int = 1
     w_min_fraction: float = 1.0 / 64.0
+    # Keys given as None, so derived here; with_value derives them again.
+    _derived: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._derived = tuple(k for k in ("aqm_ceiling", "warmup") if getattr(self, k) is None)
         if self.aqm_ceiling is None:
             self.aqm_ceiling = 2 * self.aqm_target
         if self.warmup is None:
@@ -123,11 +120,7 @@ class ScenarioConfig:
                 raise ConfigError(name, "must be positive")
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
-        if self.sender_mode not in SENDER_MODES:
-            raise ConfigError("sender_mode", f"expected one of {', '.join(SENDER_MODES)}")
-        if self.cc_variant not in CC_VARIANTS:
-            raise ConfigError("cc_variant", f"expected one of {', '.join(CC_VARIANTS)}")
-        problem = link_problem(
+        problem = sender_problem(self.sender_mode, self.cc_variant) or link_problem(
             self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling
         )
         if problem:
@@ -152,12 +145,12 @@ _FIELD_PARSERS = {
     "frame_size": parse_size,
     "smss": parse_size,
     "base_rtt": parse_time,
-    "aqm_policy": parse_choice(AQM_POLICIES),
+    "aqm_policy": parse_text,
     "aqm_target": parse_time,
     "aqm_ceiling": parse_time,
     "buffer_limit": parse_size,
-    "sender_mode": parse_choice(SENDER_MODES),
-    "cc_variant": parse_choice(CC_VARIANTS),
+    "sender_mode": parse_text,
+    "cc_variant": parse_text,
     "ecn": parse_bool,
     "delayed_acks": parse_bool,
     "duration": parse_time,
@@ -203,4 +196,5 @@ def parse_field_value(field_name: str, raw: str):
 
 
 def with_value(cfg: ScenarioConfig, field_name: str, value) -> ScenarioConfig:
-    return replace(cfg, **{field_name: value})
+    """cfg with one key set; keys left at their default are derived again."""
+    return replace(cfg, **{**dict.fromkeys(cfg._derived), field_name: value})

@@ -31,21 +31,32 @@ CC_VARIANTS = (RENO_LIKE, DCTCP_LIKE)
 
 DCTCP_GAIN = 1.0 / 16.0
 
+# Fixed endpoint timing; Tuning holds only what tests vary.
+RTO_MAX = 60 * SEC
+INITIAL_RTT = 100 * MS  # pacing and ECE-gate RTT before the first sample
+DELACK_TIMEOUT = 40 * MS
+ACK_EVERY = 2  # segments per delayed ACK
+
 
 class ProtocolError(Exception):
     """An endpoint observed something the protocol forbids (e.g. ACK of unsent data)."""
 
 
+def sender_problem(mode: str, cc_variant: str) -> tuple[str, str] | None:
+    """The first scenario key that names an unknown sender choice and why, or None."""
+    if mode not in SENDER_MODES:
+        return "sender_mode", f"expected one of {', '.join(SENDER_MODES)}, got {mode!r}"
+    if cc_variant not in CC_VARIANTS:
+        return "cc_variant", f"expected one of {', '.join(CC_VARIANTS)}, got {cc_variant!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Tuning:
-    """Endpoint timer constants; defaults follow common practice."""
+    """Sender constants that tests vary; defaults follow common practice."""
 
     rto_min: int = 200 * MS
-    rto_max: int = 60 * SEC
     rto_initial: int = 1 * SEC
-    initial_rtt: int = 100 * MS
-    delack_timeout: int = 40 * MS
-    ack_every: int = 2
     growth_enabled: bool = True
 
 
@@ -81,10 +92,9 @@ class TcpSender:
         transmit,
         tuning: Tuning = DEFAULT_TUNING,
     ):
-        if mode not in SENDER_MODES:
-            raise ValueError(f"unknown sender mode {mode!r}")
-        if cc_variant not in CC_VARIANTS:
-            raise ValueError(f"unknown cc variant {cc_variant!r}")
+        problem = sender_problem(mode, cc_variant)
+        if problem:
+            raise ValueError("%s: %s" % problem)
         self.engine = engine
         self.flow_id = flow_id
         self.mss = mss
@@ -120,7 +130,7 @@ class TcpSender:
         self._dctcp_marked = 0
         self._dctcp_window_end = 0
 
-        self.pacer = Pacer(engine, tuning.initial_rtt, self._on_pacer_ready)
+        self.pacer = Pacer(engine, INITIAL_RTT, self._on_pacer_ready)
         self.rto_timer = Timer(engine, self._on_rto, "rto")
 
     # -- window bookkeeping -------------------------------------------------
@@ -138,7 +148,7 @@ class TcpSender:
             base = self.tuning.rto_initial
         else:
             base = self.srtt + max(1, 4 * self.rttvar)
-        return min(self.tuning.rto_max, max(self.tuning.rto_min, base) * self.rto_backoff)
+        return min(RTO_MAX, max(self.tuning.rto_min, base) * self.rto_backoff)
 
     def _next_segment(self) -> tuple[SegmentRecord | None, int]:
         """Pending retransmission first, then new data; returns (record, payload)."""
@@ -157,44 +167,44 @@ class TcpSender:
         if nbytes <= 0:
             raise ValueError("app_write needs a positive byte count")
         self.snd_q += nbytes
-        self._after_window_change(self.engine.now)
+        self._pump(self.engine.now)
 
     # -- transmission -------------------------------------------------------
 
     def _pump(self, now: int) -> None:
+        """Act on a window or queue change: send what the window allows.
+
+        Baseline mode sends while the window has room; retransmissions bypass
+        that gate.  Submss mode asks the pacer, which clears the segment at
+        once or arms a wait; a wait already pending is rebased instead.
+        """
         while True:
             retx, payload = self._next_segment()
             if payload == 0:
                 self.pacer.timer.stop()
                 return
             if self.mode == BASELINE:
-                if retx is not None:
-                    self._emit(now, retx)
-                    continue
-                if self.in_flight + payload > self.window:
+                if retx is None and self.in_flight + payload > self.window:
                     return
-                self._emit_new(now, payload)
-                continue
-            if self.pacer.waiting:
+            elif self.pacer.waiting:
+                self.pacer.window_changed(now, payload, self.window)
                 return
-            if self.pacer.request(now, payload, self.window):
-                if retx is not None:
-                    self._emit(now, retx)
-                else:
-                    self._emit_new(now, payload)
-                continue
-            return
+            elif not self.pacer.request(now, payload, self.window):
+                return
+            self._send(now, retx, payload)
 
     def _on_pacer_ready(self, now: int) -> None:
         # The elapsed wait is the entitlement to send exactly one segment.
         retx, payload = self._next_segment()
-        if payload == 0:
-            return
-        if retx is not None:
-            self._emit(now, retx)
-        else:
-            self._emit_new(now, payload)
+        if payload:
+            self._send(now, retx, payload)
         self._pump(now)
+
+    def _send(self, now: int, retx: SegmentRecord | None, payload: int) -> None:
+        if retx is None:
+            self._emit_new(now, payload)
+        else:
+            self._emit(now, retx)
 
     def _emit_new(self, now: int, payload: int) -> None:
         record = SegmentRecord(self.snd_nxt, payload, now)
@@ -255,7 +265,7 @@ class TcpSender:
             self._dctcp_account(now, advance, ece)
         elif ece and now >= self.ece_gate_until:
             self._reduce()
-            self.ece_gate_until = now + (self.srtt or self.tuning.initial_rtt)
+            self.ece_gate_until = now + (self.srtt or INITIAL_RTT)
         if advance > 0 and (self.cc_variant == DCTCP_LIKE or not ece):
             self._grow(now, advance)
 
@@ -275,7 +285,7 @@ class TcpSender:
 
         if self.srtt is not None:
             self.pacer.update_rtt(self.srtt)
-        self._after_window_change(now)
+        self._pump(now)
 
     def _take_rtt_sample(self, now: int, acked_to: int) -> None:
         newest = None
@@ -382,28 +392,15 @@ class TcpSender:
             self.ssthresh = max(2 * self.mss, self.window // 2)
             self.window = 2 * self.mss
             self.rto_backoff = min(self.rto_backoff * 2, 256)
-            self._pump(now)
-            return
-        # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
-        # and let the pacer's growing wait replace the timer backoff.
-        conceptual = self.window + self.unreclaimed
-        if conceptual <= 0:
-            raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
-        self.window = max(self.w_min, conceptual // 2)
-        self.unreclaimed = 0
-        self._after_window_change(now)
-
-    # -- pacing hooks ---------------------------------------------------------
-
-    def _after_window_change(self, now: int) -> None:
-        _, payload = self._next_segment()
-        if payload == 0:
-            self.pacer.timer.stop()
-            return
-        if self.mode == SUBMSS and self.pacer.waiting:
-            self.pacer.window_changed(now, payload, self.window)
         else:
-            self._pump(now)
+            # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
+            # and let the pacer's growing wait replace the timer backoff.
+            conceptual = self.window + self.unreclaimed
+            if conceptual <= 0:
+                raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
+            self.window = max(self.w_min, conceptual // 2)
+            self.unreclaimed = 0
+        self._pump(now)
 
 
 class TcpReceiver:
@@ -416,14 +413,12 @@ class TcpReceiver:
         frame_overhead: int,
         send_ack,
         delayed_acks: bool = True,
-        tuning: Tuning = DEFAULT_TUNING,
     ):
         self.engine = engine
         self.flow_id = flow_id
         self.frame_overhead = frame_overhead
         self.send_ack = send_ack
-        self.ack_every = tuning.ack_every if delayed_acks else 1
-        self.delack_timeout = tuning.delack_timeout
+        self.ack_every = ACK_EVERY if delayed_acks else 1
 
         self.rcv_nxt = 0
         self.pending_segments = 0
@@ -446,7 +441,7 @@ class TcpReceiver:
             if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()
             elif self.delack_timer.deadline is None:
-                self.delack_timer.set(now + self.delack_timeout)
+                self.delack_timer.set(now + DELACK_TIMEOUT)
         elif packet.seq_bytes > self.rcv_nxt:
             end = packet.seq_bytes + payload
             if self._ooo.get(packet.seq_bytes, 0) < end:

@@ -93,8 +93,7 @@ class AqmLink:
         self.rng = engine.stream("aqm/0")
 
         self.backlog = 0
-        self._fifo: deque[Packet] = deque()
-        self._serving = False
+        self._fifo: deque[Packet] = deque()  # the head is in service
 
         # Byte counters; every other observation goes to engine.recorder.
         self.enqueued_bytes = 0
@@ -141,7 +140,7 @@ class AqmLink:
         self.enqueued_bytes += packet.size
         self.engine.recorder.backlog(now, self.backlog)
         self._fifo.append(packet)
-        if not self._serving:
+        if len(self._fifo) == 1:
             self._start_service(now)
 
     def _drop(self, now: int, packet: Packet) -> str:
@@ -150,10 +149,8 @@ class AqmLink:
         return DROPPED
 
     def _start_service(self, now: int) -> None:
-        head = self._fifo[0]
-        self._serving = True
         self.engine.schedule(
-            now + transmission_time_ns(head.size * 8, self.capacity_bps),
+            now + transmission_time_ns(self._fifo[0].size * 8, self.capacity_bps),
             self._depart,
             tag="link.depart",
         )
@@ -173,5 +170,3 @@ class AqmLink:
         )
         if self._fifo:
             self._start_service(now)
-        else:
-            self._serving = False

@@ -135,7 +135,6 @@ class Simulation:
                 frame_overhead=cfg.frame_overhead,
                 send_ack=self._return_ack,
                 delayed_acks=cfg.delayed_acks,
-                tuning=tuning,
             )
             for i in range(cfg.n_flows)
         ]

@@ -43,7 +43,7 @@ class LoopbackRig:
         self.sender = make_sender(self.engine, self._transmit, mode=mode, tuning=tuning)
         self.receiver = TcpReceiver(
             self.engine, 0, OVERHEAD, self._return_ack,
-            delayed_acks=delayed_acks, tuning=tuning,
+            delayed_acks=delayed_acks,
         )
 
     def _transmit(self, packet):
@@ -120,7 +120,7 @@ def test_app_writes_coalesce():
     sender.app_write(700)
     sender.app_write(800)
     sender.window = 2 * M
-    sender._after_window_change(engine.now)
+    sender._pump(engine.now)
     engine.run_until(1 * MS)
     assert sent[0].size - OVERHEAD == M  # 1460 from the coalesced 1500
 
@@ -387,12 +387,12 @@ def test_long_run_rate_matches_window_over_rtt():
 # -- receiver -----------------------------------------------------------------
 
 class ReceiverRig:
-    def __init__(self, delayed=True, tuning=Tuning()):
+    def __init__(self, delayed=True):
         self.engine = Engine()
         self.acks = []
         self.receiver = TcpReceiver(self.engine, 0, OVERHEAD,
                                     lambda a: self.acks.append((self.engine.now, a)),
-                                    delayed_acks=delayed, tuning=tuning)
+                                    delayed_acks=delayed)
 
     def segment(self, seq, payload=M, ce=False):
         self.receiver.on_segment(Packet(flow_id=0, seq_bytes=seq, size=payload + OVERHEAD,

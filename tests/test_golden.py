@@ -1,10 +1,12 @@
-"""Pinned metrics CSV of every shipped scenario on a short run.
+"""Pinned metrics CSV of every shipped scenario on a short run, and of one sweep.
 
 Each shipped scenario runs at seeds 1 and 2 with a 1 s warmup and a 4 s
-duration, which covers the drop, mark, RTO and delayed-ACK paths.  A hash
-that stops matching means the simulator's output changed.  Changing a hash
-here is a deliberate re-baseline: the ROADMAP contract asks that such a
-change go in its own change, with the reason written in CHANGES.md.
+duration, which covers the drop, mark, RTO and delayed-ACK paths.  The sweep
+varies n_flows over 4 and 8 on broadband12_submss in the same window, so its
+derived per-row seeds are pinned too.  A hash that stops matching means the
+simulator's output changed.  Changing a hash here is a deliberate
+re-baseline: the ROADMAP contract asks that such a change go in its own
+change, with the reason written in CHANGES.md.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 
 from subpace.config import load_scenario, with_value
 from subpace.engine import SEC
-from subpace.scenario import render_metrics_csv, run_scenario
+from subpace.scenario import render_metrics_csv, render_sweep_csv, run_scenario, sweep
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -31,6 +33,8 @@ GOLDEN_SHA256 = {
         "d8fe09dabe618d918330202de75b30ccd99cd95f1d2354248eca73b40f702e67",
 }
 
+SWEEP_SHA256 = "b19225782ace6ad25b101517812d15f5272ff7248948805d22686c964318a85f"
+
 
 def test_every_shipped_scenario_is_pinned():
     assert {name for name, _ in GOLDEN_SHA256} == {p.stem for p in SCENARIO_DIR.glob("*.txt")}
@@ -46,3 +50,11 @@ def test_short_run_csv_matches_pinned_hash(name, seed):
     cfg = with_value(cfg, "seed", seed)
     csv = render_metrics_csv(run_scenario(cfg))
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[(name, seed)]
+
+
+def test_short_sweep_csv_matches_pinned_hash():
+    cfg = load_scenario(SCENARIO_DIR / "broadband12_submss.txt")
+    cfg = with_value(cfg, "warmup", 1 * SEC)
+    cfg = with_value(cfg, "duration", 4 * SEC)
+    csv = render_sweep_csv("n_flows", sweep(cfg, "n_flows", ["4", "8"]))
+    assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_SHA256

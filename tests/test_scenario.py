@@ -7,7 +7,14 @@ from conftest import log_recorder, log_sends
 from hypothesis import example, given, strategies as st
 
 from subpace import cli
-from subpace.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
+from subpace.config import (
+    ConfigError,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario_text,
+    with_value,
+)
+from subpace.endpoint import TcpSender
 from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
@@ -67,6 +74,22 @@ def test_warmup_defaults_to_quarter_duration():
     assert cfg.warmup == cfg.duration // 4
 
 
+def test_with_value_derives_defaulted_ceiling_again():
+    cfg = parse_scenario_text(SMALL.replace("aqm_ceiling = 10 ms\n", ""))
+    assert with_value(cfg, "aqm_target", 10 * MS).aqm_ceiling == 20 * MS
+    explicit = parse_scenario_text(SMALL)
+    assert with_value(explicit, "aqm_target", 8 * MS).aqm_ceiling == 10 * MS
+
+
+def test_with_value_derives_defaulted_warmup_again():
+    cfg = parse_scenario_text(SMALL.replace("warmup = 1 s\n", ""))
+    assert with_value(cfg, "duration", 40 * SEC).warmup == 10 * SEC
+    pinned = with_value(cfg, "warmup", 2 * SEC)  # a value set by with_value stays too
+    assert with_value(pinned, "duration", 40 * SEC).warmup == 2 * SEC
+    explicit = parse_scenario_text(SMALL)
+    assert with_value(explicit, "duration", 40 * SEC).warmup == 1 * SEC
+
+
 def test_unknown_key_is_an_error():
     with pytest.raises(ConfigError) as err:
         parse_scenario_text(SMALL + "bandwidth = 1 mbps\n")
@@ -112,6 +135,28 @@ def test_link_checks_give_the_same_message_from_config_and_link():
             AqmLink(Engine(), **{**link_args, link_arg: value})
         assert config_err.value.field_name == field_name
         assert str(link_err.value) == str(config_err.value)
+
+
+def test_sender_checks_give_the_same_message_from_file_config_and_sender():
+    cfg = parse_scenario_text(SMALL)
+    sender_args = dict(
+        flow_id=0, mss=cfg.smss, frame_overhead=cfg.frame_overhead, mode=cfg.sender_mode,
+        cc_variant=cfg.cc_variant, ecn_capable=cfg.ecn, w_min=cfg.w_min_bytes,
+        transmit=lambda p: None,
+    )
+    cases = [
+        ("sender_mode", "mode", "submss", "fast"),
+        ("cc_variant", "cc_variant", "dctcp-like", "cubic"),
+    ]
+    for field_name, sender_arg, original, value in cases:
+        with pytest.raises(ConfigError) as parse_err:
+            parse_scenario_text(SMALL.replace(f"= {original}", f"= {value}"))
+        with pytest.raises(ConfigError) as config_err:
+            replace(cfg, **{field_name: value})
+        with pytest.raises(ValueError) as sender_err:
+            TcpSender(Engine(), **{**sender_args, sender_arg: value})
+        assert parse_err.value.field_name == config_err.value.field_name == field_name
+        assert str(parse_err.value) == str(config_err.value) == str(sender_err.value)
 
 
 def test_non_finite_and_overflowing_numbers_name_the_field():

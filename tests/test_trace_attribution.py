@@ -1,0 +1,54 @@
+"""The per-layer tracer in perfbench/ still sees the simulator's entry points.
+
+perfbench/tracer.py splits a run into layers by wrapping named entry points
+of the simulator.  A refactor that stops calling one of them would empty its
+layer without an error.  So a short traced run, in a child process because
+the tracer patches classes in place, must call every wrapped entry point and
+give the same metrics CSV as the untraced run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from subpace.config import load_scenario, with_value
+from subpace.engine import SEC
+from subpace.scenario import render_metrics_csv, run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "scenarios" / "broadband12_submss.txt"
+WARMUP, DURATION = SEC // 2, 2 * SEC
+ENTRY_POINTS = ("request", "window_changed", "pacing_delay", "on_ack", "on_segment", "enqueue",
+                "schedule", "cancel")
+
+TRACED_RUN = """
+import json, sys
+import tracer
+from subpace.config import load_scenario, with_value
+from subpace.scenario import render_metrics_csv, run_scenario
+
+spans = tracer.Tracer()
+tracer.install(spans)
+path, warmup, duration, *names = sys.argv[1:]
+cfg = with_value(load_scenario(path), "warmup", int(warmup))
+cfg = with_value(cfg, "duration", int(duration))
+csv = render_metrics_csv(run_scenario(cfg))
+print(json.dumps({"csv": csv, "calls": {name: spans.calls(name) for name in names}}))
+"""
+
+
+def test_traced_run_calls_every_entry_point_and_keeps_the_csv():
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    args = [str(SCENARIO), str(WARMUP), str(DURATION), *ENTRY_POINTS]
+    child = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, *args],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    traced = json.loads(child.stdout)
+
+    cfg = with_value(with_value(load_scenario(SCENARIO), "warmup", WARMUP), "duration", DURATION)
+    assert traced["csv"] == render_metrics_csv(run_scenario(cfg))
+    assert [name for name, calls in traced["calls"].items() if calls == 0] == []
