@@ -37,7 +37,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_floor(args) -> int:
     value = pkt_per_rtt_floor(
         parse_rate("capacity", args.capacity),
-        int(args.flows),
+        args.flows,
         parse_size("frame", args.frame),
         parse_time("rtt", args.rtt),
     )

@@ -59,6 +59,12 @@ class Tuning:
     rto_initial: int = 1 * SEC
     growth_enabled: bool = True
 
+    def __post_init__(self):
+        for name in ("rto_min", "rto_initial"):
+            value = getattr(self, name)
+            if not 0 < value <= RTO_MAX:
+                raise ValueError(f"{name}: must be positive and at most {RTO_MAX} ns, got {value}")
+
 
 DEFAULT_TUNING = Tuning()
 
@@ -68,14 +74,6 @@ class Ack:
     flow_id: int
     ack_bytes: int
     ece: bool
-
-
-@dataclass
-class SegmentRecord:
-    seq: int
-    size: int
-    sent_at: int
-    retransmitted: bool = False
 
 
 class TcpSender:
@@ -121,8 +119,8 @@ class TcpSender:
         self.dup_acks = 0
         self.recovery_until = 0
         self.ece_gate_until = 0
-        self.pending_retx: SegmentRecord | None = None
-        self.segments: deque[SegmentRecord] = deque()
+        self.segments: deque[Packet] = deque()  # sent and not yet acked, oldest first
+        self.retx_head = False  # segments[0] is due for retransmission
 
         self._ca_acked = 0
         self.dctcp_alpha = 0.0
@@ -150,16 +148,13 @@ class TcpSender:
             base = self.srtt + max(1, 4 * self.rttvar)
         return min(RTO_MAX, max(self.tuning.rto_min, base) * self.rto_backoff)
 
-    def _next_segment(self) -> tuple[SegmentRecord | None, int]:
-        """Pending retransmission first, then new data; returns (record, payload)."""
-        if self.pending_retx is not None:
-            if self.pending_retx.seq + self.pending_retx.size <= self.snd_una:
-                self.pending_retx = None  # covered in the meantime
-            else:
-                return self.pending_retx, self.pending_retx.size
+    def _next_segment(self) -> tuple[bool, int]:
+        """Pending retransmission first, then new data; returns (retx, payload)."""
+        if self.retx_head:
+            return True, self.segments[0].size - self.frame_overhead
         if self.snd_q > 0:
-            return None, segment_size(self.mss, self.snd_q)
-        return None, 0
+            return False, segment_size(self.mss, self.snd_q)
+        return False, 0
 
     # -- application interface ----------------------------------------------
 
@@ -184,7 +179,7 @@ class TcpSender:
                 self.pacer.timer.stop()
                 return
             if self.mode == BASELINE:
-                if retx is None and self.in_flight + payload > self.window:
+                if not retx and self.in_flight + payload > self.window:
                     return
             elif self.pacer.waiting:
                 self.pacer.window_changed(now, payload, self.window)
@@ -200,45 +195,31 @@ class TcpSender:
             self._send(now, retx, payload)
         self._pump(now)
 
-    def _send(self, now: int, retx: SegmentRecord | None, payload: int) -> None:
-        if retx is None:
-            self._emit_new(now, payload)
+    def _send(self, now: int, retx: bool, payload: int) -> None:
+        """Send the head again or the next payload bytes as one new Packet.
+
+        A retransmission replaces the head with a fresh Packet, never the one
+        still in flight (the link may have marked it), and never touches the
+        clocking window.
+        """
+        seq = self.segments[0].seq_bytes if retx else self.snd_nxt
+        packet = Packet(self.flow_id, seq, payload + self.frame_overhead, self.ecn_capable,
+                        is_retransmission=retx, sent_at=now)
+        if retx:
+            self.segments[0] = packet
+            self.retx_head = False
         else:
-            self._emit(now, retx)
-
-    def _emit_new(self, now: int, payload: int) -> None:
-        record = SegmentRecord(self.snd_nxt, payload, now)
-        self.segments.append(record)
-        self.snd_nxt += payload
-        self.snd_q -= payload
-        if self.mode == SUBMSS:
-            self.window -= payload
-            self.unreclaimed += payload
-            if self.window <= -self.mss:
-                raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
-        self._transmit(record)
-        if self.rto_timer.deadline is None:
+            self.segments.append(packet)
+            self.snd_nxt += payload
+            self.snd_q -= payload
+            if self.mode == SUBMSS:
+                self.window -= payload
+                self.unreclaimed += payload
+                if self.window <= -self.mss:
+                    raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
+        self.transmit(packet)
+        if retx or self.rto_timer.deadline is None:
             self.rto_timer.set(now + self.current_rto())
-
-    def _emit(self, now: int, record: SegmentRecord) -> None:
-        """Retransmit an existing segment; never touches the clocking window."""
-        record.retransmitted = True
-        record.sent_at = now
-        self.pending_retx = None
-        self._transmit(record)
-        self.rto_timer.set(now + self.current_rto())
-
-    def _transmit(self, record: SegmentRecord) -> None:
-        self.transmit(
-            Packet(
-                flow_id=self.flow_id,
-                seq_bytes=record.seq,
-                size=record.size + self.frame_overhead,
-                ecn_capable=self.ecn_capable,
-                is_retransmission=record.retransmitted,
-                sent_at=record.sent_at,
-            )
-        )
 
     # -- ACK processing -----------------------------------------------------
 
@@ -262,7 +243,7 @@ class TcpSender:
         if ece:
             self.slow_start = False
         if self.cc_variant == DCTCP_LIKE:
-            self._dctcp_account(now, advance, ece)
+            self._dctcp_account(advance, ece)
         elif ece and now >= self.ece_gate_until:
             self._reduce()
             self.ece_gate_until = now + (self.srtt or INITIAL_RTT)
@@ -272,11 +253,11 @@ class TcpSender:
         if advance > 0:
             if self.snd_una < self.recovery_until and self.segments:
                 # Partial advance inside a loss episode: next hole goes out now.
-                self.pending_retx = self.segments[0]
+                self.retx_head = True
         elif self.in_flight > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and self.snd_una >= self.recovery_until:
-                self._on_loss_detected(now)
+                self._on_loss_detected()
 
         if self.in_flight == 0:
             self.rto_timer.stop()
@@ -288,10 +269,12 @@ class TcpSender:
         self._pump(now)
 
     def _take_rtt_sample(self, now: int, acked_to: int) -> None:
-        newest = None
-        while self.segments and self.segments[0].seq + self.segments[0].size <= acked_to:
-            newest = self.segments.popleft()
-        if newest is None or newest.retransmitted:
+        """Pop the segments the ACK covers and sample the RTT of the newest."""
+        segments, overhead, newest = self.segments, self.frame_overhead, None
+        while segments and segments[0].seq_bytes + segments[0].size - overhead <= acked_to:
+            newest = segments.popleft()
+            self.retx_head = False
+        if newest is None or newest.is_retransmission:
             return  # Karn: no sample from a retransmitted segment
         sample = now - newest.sent_at
         if self.srtt is None:
@@ -335,11 +318,10 @@ class TcpSender:
         In submss mode the signed clocking balance plus the credit still out
         in flight; reductions must halve this sum, or a flow with a full pipe
         would shrug them off (its clocking balance hovers near zero while the
-        flight credit holds the real window).
+        flight credit holds the real window).  Baseline mode never moves that
+        credit, so there it is the window.
         """
-        if self.mode == SUBMSS:
-            return self.window + self.unreclaimed
-        return self.window
+        return self.window + self.unreclaimed
 
     def _apply_conceptual(self, new_conceptual: int) -> None:
         self.window -= self._conceptual_window() - new_conceptual
@@ -354,7 +336,7 @@ class TcpSender:
         if self.mode == BASELINE and self.window < 2 * self.mss:
             raise ProtocolError(f"flow {self.flow_id}: baseline window fell below 2*MSS")
 
-    def _dctcp_account(self, now: int, advance: int, ece: bool) -> None:
+    def _dctcp_account(self, advance: int, ece: bool) -> None:
         self._dctcp_acked += advance
         if ece:
             self._dctcp_marked += advance
@@ -371,12 +353,11 @@ class TcpSender:
 
     # -- loss handling ------------------------------------------------------
 
-    def _on_loss_detected(self, now: int) -> None:
+    def _on_loss_detected(self) -> None:
         self.slow_start = False
         self._reduce()
         self.recovery_until = self.snd_nxt
-        if self.segments:
-            self.pending_retx = self.segments[0]
+        self.retx_head = bool(self.segments)
 
     def _on_rto(self) -> None:
         now = self.engine.now
@@ -386,16 +367,16 @@ class TcpSender:
         self.slow_start = False
         self._ca_acked = 0
         self.recovery_until = self.snd_nxt
-        self.pending_retx = self.segments[0] if self.segments else None
+        self.retx_head = bool(self.segments)
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
-            self.ssthresh = max(2 * self.mss, self.window // 2)
-            self.window = 2 * self.mss
+            self.ssthresh = max(self.floor, self.window // 2)
+            self.window = self.floor
             self.rto_backoff = min(self.rto_backoff * 2, 256)
         else:
             # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
             # and let the pacer's growing wait replace the timer backoff.
-            conceptual = self.window + self.unreclaimed
+            conceptual = self._conceptual_window()
             if conceptual <= 0:
                 raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
             self.window = max(self.w_min, conceptual // 2)

@@ -185,8 +185,8 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, tuning: Tuning = DEFAULT_TUNING) -> ScenarioMetrics:
-    return Simulation(cfg, tuning=tuning).run().metrics()
+def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
+    return Simulation(cfg).run().metrics()
 
 
 def derive_sweep_seed(base_seed: int, index: int) -> int:

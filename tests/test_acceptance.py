@@ -14,7 +14,7 @@ from conftest import log_recorder, log_sends
 
 from subpace import cli
 from subpace.config import ScenarioConfig, load_scenario
-from subpace.endpoint import Ack, Tuning
+from subpace.endpoint import RTO_MAX, Ack, Tuning
 from subpace.engine import MS, SEC, Engine
 from subpace.pacing import pacing_delay
 from subpace.scenario import Simulation, render_metrics_csv, run_scenario
@@ -114,7 +114,7 @@ def _interval_rig(window: int, rtt: int, mss: int = 1460):
 
     engine = Engine()
     sends = []
-    quiet = Tuning(rto_min=3600 * SEC, rto_initial=3600 * SEC, growth_enabled=False)
+    quiet = Tuning(rto_min=RTO_MAX, rto_initial=RTO_MAX, growth_enabled=False)
 
     def wire(packet):
         sends.append(engine.now)

@@ -2,13 +2,13 @@ import pytest
 from conftest import log_recorder
 from hypothesis import given, strategies as st
 
-from subpace.endpoint import Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
+from subpace.endpoint import RTO_MAX, Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
 from subpace.engine import MS, SEC, Engine
 from subpace.netpath import Packet
 
 M = 1460
 OVERHEAD = 58
-FAR_FUTURE = 3600 * SEC
+FAR_FUTURE = RTO_MAX
 QUIET_TIMERS = Tuning(rto_min=FAR_FUTURE, rto_initial=FAR_FUTURE)
 NO_GROWTH = Tuning(rto_min=FAR_FUTURE, rto_initial=FAR_FUTURE, growth_enabled=False)
 
@@ -237,7 +237,7 @@ def test_send_to_minus_mss_raises():
     sender.snd_q = M
     sender.window = 0
     with pytest.raises(ProtocolError):
-        sender._emit_new(engine.now, M)  # would leave the window at exactly -MSS
+        sender._send(engine.now, False, M)  # would leave the window at exactly -MSS
 
 
 def test_baseline_reduce_below_floor_raises():
@@ -255,6 +255,15 @@ def test_submss_rto_without_clocking_credit_raises():
     sender.window = 0  # and no credit for it anywhere
     with pytest.raises(ProtocolError):
         sender._on_rto()
+
+
+@pytest.mark.parametrize("field", ["rto_min", "rto_initial"])
+@pytest.mark.parametrize("value", [0, -1 * MS, RTO_MAX + 1, 3600 * SEC])
+def test_tuning_rejects_timers_outside_the_rto_range(field, value):
+    # current_rto caps every timer at RTO_MAX, so a longer one would silently
+    # be shorter than asked for.
+    with pytest.raises(ValueError, match=field):
+        Tuning(**{field: value})
 
 
 # -- retransmission timeouts --------------------------------------------------
@@ -327,6 +336,48 @@ def test_one_ack_after_blackout_restores_sending():
     assert len(sent) > count  # a (re)transmission went out promptly
 
 
+def test_fast_retransmit_sends_a_fresh_packet():
+    engine = Engine()
+    sent = []
+    sender = make_sender(engine, sent.append, mode="baseline")
+    sender.slow_start = False
+    sender.window = 4 * M
+    sender.app_write(10 * M)
+    original = sent[0]
+    original.ce_marked = True  # as the link would mark it in flight
+    engine.run_until(5 * MS)
+    for _ in range(3):
+        sender.on_ack(Ack(0, 0, False))
+    resent = sent[4]
+    assert resent is not original and sender.segments[0] is resent
+    assert (resent.seq_bytes, resent.size) == (original.seq_bytes, original.size)
+    assert resent.is_retransmission and not resent.ce_marked
+    assert resent.sent_at == engine.now == 5 * MS
+    assert original.ce_marked and not original.is_retransmission and original.sent_at == 0
+
+
+def test_head_acked_while_its_retransmission_waits_is_not_resent():
+    # submss: an RTO makes the head due while the pacer holds the next send,
+    # then an ACK covers the head before the wait fires.
+    engine = Engine()
+    sent = []
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
+    sender = make_sender(engine, sent.append, tuning=tuning)
+    sender.window = M // 2
+    sender.app_write(100 * M)
+    engine.run_until(100 * MS)  # the first wait elapses; segment 0 goes out
+    assert [p.seq_bytes for p in sent] == [0]
+    engine.run_until(150 * MS)  # the RTO fires and the pacer arms a wait
+    assert sender.retx_head and sender.pacer.waiting
+    assert sent[1:] == []
+    engine.run_until(200 * MS)
+    sender.on_ack(Ack(0, M, False))
+    assert not sender.retx_head
+    engine.run_until(2 * SEC)
+    assert sent[1].seq_bytes == M and sent[1].sent_at == 200 * MS
+    assert [p for p in sent if p.seq_bytes == 0 and p.is_retransmission] == []
+
+
 # -- RTT estimation -----------------------------------------------------------
 
 def test_srtt_ewma_arithmetic():
@@ -351,7 +402,7 @@ def test_karn_rule_skips_retransmitted_segments():
     sender.window = M
     sender.app_write(M)
     engine.run_until(1 * MS)
-    sender.segments[0].retransmitted = True
+    sender.segments[0].is_retransmission = True
     engine.run_until(50 * MS)
     sender.on_ack(Ack(0, M, False))
     assert sender.srtt is None  # no sample taken
