@@ -1,14 +1,14 @@
 """Per-flow TCP-like sender and receiver state machines.
 
-The sender runs in one of two modes.  In baseline mode the congestion window
-is a conventional unsigned byte count with a hard floor of two segments:
-every multiplicative decrease rounds back up to 2*SMSS.  In submss mode the
-window is a signed byte count run as pure clocking state: each new-data send
-decrements it by the segment size (possibly below zero), each cumulative ACK
-increments it by the bytes acked, and whenever it is smaller than the next
-segment the pacer converts the deficit into a timed wait instead of rounding
-up.  Retransmission timeouts then halve the window rather than doubling the
-timer, so the growing wait takes over the role of exponential backoff.
+One window accounting serves both sender modes.  `window` is a signed
+clocking balance: a new-data send moves its bytes into `unreclaimed`, the
+credit in flight, and a cumulative ACK moves the acked bytes back.  The sum,
+`conceptual_window`, is the congestion window; slow start ends at the first
+congestion signal.  The sub-MSS change is the three places that read the
+mode: `floor` (two segments, or `w_min` bytes below one); `_pump` (a short
+window stalls baseline, while submss paces the deficit into a timed wait and
+lets `window` go negative); and `_on_rto` (baseline collapses to the floor
+and doubles the timer, submss halves and lets the growing wait back off).
 
 The receiver implements standard delayed ACKs (every n segments or on a
 timer), immediate duplicate ACKs for out-of-order arrivals, and ECE echo for
@@ -100,12 +100,13 @@ class TcpSender:
         self.mode = mode
         self.cc_variant = cc_variant
         self.ecn_capable = ecn_capable
-        self.w_min = max(1, w_min)
+        if w_min < 1:
+            raise ValueError(f"w_min: must be at least 1 byte, got {w_min}")
+        self.w_min = w_min
         self.transmit = transmit
         self.tuning = tuning
 
-        self.window = 2 * mss  # signed bytes in submss mode
-        self.ssthresh = 1 << 62
+        self.window = 2 * mss  # signed clocking balance
         self.slow_start = True
         self.snd_una = 0
         self.snd_nxt = 0
@@ -141,6 +142,16 @@ class TcpSender:
     def floor(self) -> int:
         return 2 * self.mss if self.mode == BASELINE else self.w_min
 
+    @property
+    def conceptual_window(self) -> int:
+        """The congestion window: the clocking balance plus the credit in flight.
+
+        Reductions act on this sum, or a full pipe (balance near zero, credit
+        holding the real window) would shrug them off.  In baseline mode the
+        credit always equals `in_flight`.
+        """
+        return self.window + self.unreclaimed
+
     def current_rto(self) -> int:
         if self.srtt is None:
             base = self.tuning.rto_initial
@@ -169,9 +180,10 @@ class TcpSender:
     def _pump(self, now: int) -> None:
         """Act on a window or queue change: send what the window allows.
 
-        Baseline mode sends while the window has room; retransmissions bypass
-        that gate.  Submss mode asks the pacer, which clears the segment at
-        once or arms a wait; a wait already pending is rebased instead.
+        A balance that covers the next segment sends it in both modes.  A
+        shorter one is where the modes part: baseline stalls until ACKs open
+        the window (retransmissions bypass that gate), while submss has the
+        pacer arm a wait for the deficit, or rebase the wait already pending.
         """
         while True:
             retx, payload = self._next_segment()
@@ -179,7 +191,7 @@ class TcpSender:
                 self.pacer.timer.stop()
                 return
             if self.mode == BASELINE:
-                if not retx and self.in_flight + payload > self.window:
+                if not retx and payload > self.window:
                     return
             elif self.pacer.waiting:
                 self.pacer.window_changed(now, payload, self.window)
@@ -200,7 +212,7 @@ class TcpSender:
 
         A retransmission replaces the head with a fresh Packet, never the one
         still in flight (the link may have marked it), and never touches the
-        clocking window.
+        window accounting.
         """
         seq = self.segments[0].seq_bytes if retx else self.snd_nxt
         packet = Packet(self.flow_id, seq, payload + self.frame_overhead, self.ecn_capable,
@@ -212,11 +224,10 @@ class TcpSender:
             self.segments.append(packet)
             self.snd_nxt += payload
             self.snd_q -= payload
-            if self.mode == SUBMSS:
-                self.window -= payload
-                self.unreclaimed += payload
-                if self.window <= -self.mss:
-                    raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
+            self.window -= payload
+            self.unreclaimed += payload
+            if self.window <= -self.mss:
+                raise ProtocolError(f"flow {self.flow_id}: window fell to -MSS or below")
         self.transmit(packet)
         if retx or self.rto_timer.deadline is None:
             self.rto_timer.set(now + self.current_rto())
@@ -233,9 +244,8 @@ class TcpSender:
         if advance > 0:
             self._take_rtt_sample(now, ack.ack_bytes)
             self.snd_una = ack.ack_bytes
-            if self.mode == SUBMSS:
-                self.window += advance
-                self.unreclaimed = max(0, self.unreclaimed - advance)
+            self.window += advance
+            self.unreclaimed = max(0, self.unreclaimed - advance)
             self.rto_backoff = 1
             self.dup_acks = 0
 
@@ -291,8 +301,6 @@ class TcpSender:
             return  # no growth while a congestion response is settling
         if self.slow_start:
             self.window += min(advance, self.mss)
-            if self._conceptual_window() >= self.ssthresh:
-                self.slow_start = False
             return
         # Byte-counted additive increase, so the growth rate per RTT does not
         # depend on how many segments each ACK covers.  One MSS per window per
@@ -303,7 +311,7 @@ class TcpSender:
         # against ambient marking).
         self._ca_acked += advance
         while True:
-            conceptual = self._conceptual_window()
+            conceptual = self.conceptual_window
             if conceptual <= 0:
                 break
             threshold = max(conceptual, self.mss)
@@ -312,29 +320,17 @@ class TcpSender:
             self._ca_acked -= threshold
             self.window += min(self.mss, max(conceptual // 4, self.mss // 4))
 
-    def _conceptual_window(self) -> int:
-        """Congestion control's view of the window.
-
-        In submss mode the signed clocking balance plus the credit still out
-        in flight; reductions must halve this sum, or a flow with a full pipe
-        would shrug them off (its clocking balance hovers near zero while the
-        flight credit holds the real window).  Baseline mode never moves that
-        credit, so there it is the window.
-        """
-        return self.window + self.unreclaimed
-
     def _apply_conceptual(self, new_conceptual: int) -> None:
-        self.window -= self._conceptual_window() - new_conceptual
-        self.ssthresh = max(self.floor, new_conceptual)
+        self.window -= self.conceptual_window - new_conceptual
         self._ca_acked = 0
 
     def _reduce(self) -> None:
         """Multiplicative decrease with the mode's floor."""
-        conceptual = self._conceptual_window()
+        conceptual = self.conceptual_window
         if conceptual > 0:
             self._apply_conceptual(max(self.floor, conceptual // 2))
-        if self.mode == BASELINE and self.window < 2 * self.mss:
-            raise ProtocolError(f"flow {self.flow_id}: baseline window fell below 2*MSS")
+        if self.conceptual_window < self.floor:
+            raise ProtocolError(f"flow {self.flow_id}: window fell below its floor")
 
     def _dctcp_account(self, advance: int, ece: bool) -> None:
         self._dctcp_acked += advance
@@ -343,7 +339,7 @@ class TcpSender:
         if self.snd_una >= self._dctcp_window_end and self._dctcp_acked > 0:
             fraction = self._dctcp_marked / self._dctcp_acked
             self.dctcp_alpha += DCTCP_GAIN * (fraction - self.dctcp_alpha)
-            conceptual = self._conceptual_window()
+            conceptual = self.conceptual_window
             if self._dctcp_marked > 0 and conceptual > 0:
                 cut = int(round(conceptual * self.dctcp_alpha / 2))
                 self._apply_conceptual(max(self.floor, conceptual - cut))
@@ -370,13 +366,12 @@ class TcpSender:
         self.retx_head = bool(self.segments)
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
-            self.ssthresh = max(self.floor, self.window // 2)
-            self.window = self.floor
+            self.window = self.floor - self.unreclaimed
             self.rto_backoff = min(self.rto_backoff * 2, 256)
         else:
             # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
             # and let the pacer's growing wait replace the timer backoff.
-            conceptual = self._conceptual_window()
+            conceptual = self.conceptual_window
             if conceptual <= 0:
                 raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
             self.window = max(self.w_min, conceptual // 2)

@@ -95,11 +95,6 @@ class AqmLink:
         self.backlog = 0
         self._fifo: deque[Packet] = deque()  # the head is in service
 
-        # Byte counters; every other observation goes to engine.recorder.
-        self.enqueued_bytes = 0
-        self.departed_bytes = 0
-        self.dropped_bytes = 0
-
     def queue_delay(self) -> int:
         """Current queuing delay in ns, recomputed exactly from the backlog."""
         return transmission_time_ns(self.backlog * 8, self.capacity_bps)
@@ -119,33 +114,31 @@ class AqmLink:
             raise ValueError(f"packet size {packet.size} exceeds frame size {self.max_frame}")
         now = self.engine.now
         if self.backlog + packet.size > self.buffer_limit:
-            return self._drop(now, packet)
+            return self._drop(now)
         if self.policy != "drop-tail":
             prob = self.signal_probability()
             if self.rng.random() < prob:
                 if self.policy == "red-drop":
-                    return self._drop(now, packet)
+                    return self._drop(now)
                 # ramp-mark: signal via CE when possible, fall back to drop.
                 if packet.ecn_capable:
                     packet.ce_marked = True
                     self.engine.recorder.mark(now)
                     self._admit(now, packet)
                     return MARKED
-                return self._drop(now, packet)
+                return self._drop(now)
         self._admit(now, packet)
         return QUEUED
 
     def _admit(self, now: int, packet: Packet) -> None:
         self.backlog += packet.size
-        self.enqueued_bytes += packet.size
         self.engine.recorder.backlog(now, self.backlog)
         self._fifo.append(packet)
         if len(self._fifo) == 1:
             self._start_service(now)
 
-    def _drop(self, now: int, packet: Packet) -> str:
+    def _drop(self, now: int) -> str:
         self.engine.recorder.drop(now)
-        self.dropped_bytes += packet.size
         return DROPPED
 
     def _start_service(self, now: int) -> None:
@@ -159,7 +152,6 @@ class AqmLink:
         now = self.engine.now
         packet = self._fifo.popleft()
         self.backlog -= packet.size
-        self.departed_bytes += packet.size
         recorder = self.engine.recorder
         recorder.backlog(now, self.backlog)
         recorder.departure(now, packet.flow_id, packet.size)

@@ -1,6 +1,8 @@
+from itertools import takewhile
+
 import pytest
 from conftest import log_recorder
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subpace.endpoint import RTO_MAX, Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
 from subpace.engine import MS, SEC, Engine
@@ -143,7 +145,7 @@ def test_baseline_floor_binds_on_ece():
     sender.app_write(10 * M)
     engine.run_until(1 * MS)
     sender.on_ack(Ack(0, M, True))
-    assert sender.window == 2 * M  # halved then rounded back up to the floor
+    assert sender.conceptual_window == 2 * M  # halved then rounded back up to the floor
 
 
 def test_baseline_loss_halves_with_floor():
@@ -156,7 +158,7 @@ def test_baseline_loss_halves_with_floor():
         engine.run_until(1 * MS)
         for _ in range(3):
             sender.on_ack(Ack(0, 0, False))  # duplicate ACKs
-        assert sender.window == expected
+        assert sender.conceptual_window == expected
 
 
 def test_submss_ece_halves_below_one_segment():
@@ -177,7 +179,7 @@ def test_submss_loss_halves_below_one_segment():
     for _ in range(3):
         sender.on_ack(Ack(0, 0, False))
     # conceptual window (clocking balance + flight credit) halves to M/2
-    assert sender.window + sender.unreclaimed == M // 2
+    assert sender.conceptual_window == M // 2
 
 
 def test_reno_reduction_at_most_once_per_rtt():
@@ -211,12 +213,12 @@ def test_dctcp_alpha_update_and_cut():
     sender.app_write(100 * M)
     engine.run_until(1 * MS)  # a window of segments goes out
     flight = sender.unreclaimed
-    conceptual = sender.window + sender.unreclaimed
+    conceptual = sender.conceptual_window
     # Ack the whole window, every byte marked: F = 1 for this round.
     sender.on_ack(Ack(0, flight, True))
     assert sender.dctcp_alpha == pytest.approx(1.0 / 16.0)
     expected = conceptual - round(conceptual * sender.dctcp_alpha / 2)
-    grown = sender.window + sender.unreclaimed
+    grown = sender.conceptual_window
     assert grown == expected
 
 
@@ -240,9 +242,10 @@ def test_send_to_minus_mss_raises():
         sender._send(engine.now, False, M)  # would leave the window at exactly -MSS
 
 
-def test_baseline_reduce_below_floor_raises():
+@pytest.mark.parametrize("mode", ["baseline", "submss"])
+def test_reduce_below_floor_raises(mode):
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, mode="baseline")
+    sender = make_sender(engine, lambda p: None, mode=mode)
     sender.window = 0
     with pytest.raises(ProtocolError):
         sender._reduce()
@@ -255,6 +258,54 @@ def test_submss_rto_without_clocking_credit_raises():
     sender.window = 0  # and no credit for it anywhere
     with pytest.raises(ProtocolError):
         sender._on_rto()
+
+
+SENDER_STEPS = st.one_of(
+    st.tuples(st.just("write"), st.integers(min_value=1, max_value=20 * M)),
+    st.tuples(st.just("ack"), st.integers(min_value=0, max_value=8), st.booleans()),
+    st.tuples(st.just("dup"), st.booleans()),
+    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=200 * MS)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["baseline", "submss"]), st.sampled_from(["reno-like", "dctcp-like"]),
+       st.lists(SENDER_STEPS, max_size=60))
+def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps):
+    engine = Engine()
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
+    balances = []  # the window right after each new-data send
+
+    def transmit(packet):
+        if not packet.is_retransmission:
+            balances.append(sender.window)
+
+    sender = make_sender(engine, transmit, mode=mode, cc=cc, tuning=tuning)
+    for step in steps:
+        if step[0] == "write":
+            sender.app_write(step[1])
+        elif step[0] == "ack":  # cumulative ACK to the end of a segment sent before now
+            _, count, ece = step
+            covered = list(takewhile(lambda p: p.sent_at < engine.now, sender.segments))[:count]
+            acked = covered[-1].seq_bytes + covered[-1].size - OVERHEAD if covered else sender.snd_una
+            sender.on_ack(Ack(0, acked, ece))
+        elif step[0] == "dup":
+            sender.on_ack(Ack(0, sender.snd_una, step[1]))
+        else:
+            engine.run_until(engine.now + step[1])
+        # After a reduction with a full pipe the balance sits far below zero;
+        # only a new-data send is bound to leave it above -MSS.
+        assert all(balance > -M for balance in balances)
+        assert sender.conceptual_window >= sender.floor
+        assert sender.snd_una <= sender.snd_nxt
+        if mode == "baseline":
+            assert sender.unreclaimed == sender.in_flight
+
+
+@pytest.mark.parametrize("w_min", [0, -1])
+def test_sender_rejects_w_min_below_one_byte(w_min):
+    with pytest.raises(ValueError, match="w_min"):
+        make_sender(Engine(), lambda p: None, w_min=w_min)
 
 
 @pytest.mark.parametrize("field", ["rto_min", "rto_initial"])
@@ -281,7 +332,7 @@ def test_baseline_rto_resets_to_floor_and_doubles_timer():
     before = sender.current_rto()
     engine.run_until(2_500 * MS)  # exactly one RTO fires, no ACKs ever arrive
     assert log.of("rto")
-    assert sender.window == 2 * M
+    assert sender.conceptual_window == 2 * M
     assert sender.current_rto() == min(2 * before, 60 * SEC)
     assert any(p.is_retransmission for p in sent)
 

@@ -164,11 +164,19 @@ def test_byte_conservation(sizes, seed):
     engine = Engine(seed=seed)
     delivered = []
     link = make_link(engine, delivered, buffer_limit=30_000, ceiling=7 * MS)
-    offset = 0
+    log = log_recorder(engine)
+    offset, dropped = 0, []
     for size in sizes:
-        link.enqueue(Packet(flow_id=0, seq_bytes=offset, size=size, ecn_capable=False))
+        packet = Packet(flow_id=0, seq_bytes=offset, size=size, ecn_capable=False)
+        if link.enqueue(packet) == DROPPED:
+            dropped.append(size)
         offset += size
     engine.run_until(1_000 * MS)
-    assert link.enqueued_bytes == link.departed_bytes + link.backlog
-    assert link.enqueued_bytes + link.dropped_bytes == sum(sizes)
+    steps = [backlog for _, backlog in log.of("backlog")]
+    enqueued = sum(max(0, b - a) for a, b in zip([0] + steps, steps))  # each admit is a rise
+    departed = sum(size for _, _, size in log.of("departure"))
+    assert enqueued == departed + link.backlog
+    assert enqueued + sum(dropped) == sum(sizes)
     assert link.backlog == 0  # fully drained by now
+    assert len(log.of("drop")) == len(dropped)
+    assert sum(p.size for p in delivered) == departed
