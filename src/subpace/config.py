@@ -9,7 +9,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .endpoint import sender_problem
-from .engine import NS_PER_SEC
+from .engine import MS, SEC, US
 from .netpath import link_problem
 
 
@@ -21,10 +21,9 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
-_TIME_UNITS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": NS_PER_SEC}
+_TIME_UNITS = {"ns": 1, "us": US, "ms": MS, "s": SEC}
 _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000}
 _SIZE_UNITS = {"b": 1, "kb": 1_000, "mb": 1_000_000}
-_POSITIVE = ("capacity", "n_flows", "frame_size", "smss", "duration", "base_rtt", "aqm_target")
 
 
 def _parse_with_units(field_name: str, raw: str, units: dict[str, int]) -> int:
@@ -82,27 +81,32 @@ def parse_text(field_name: str, raw: str) -> str:
     return raw.strip()
 
 
+def _key(parse, positive: bool = False, **default):
+    """A scenario key: its file parser and whether it must be positive."""
+    return field(metadata={"parse": parse, "positive": positive}, **default)
+
+
 @dataclass
 class ScenarioConfig:
-    """Everything needed to run one experiment."""
+    """Everything needed to run one experiment; each field is one scenario key."""
 
-    capacity: int  # bits per second
-    n_flows: int
-    frame_size: int  # header-inclusive bytes on the wire
-    smss: int  # payload bytes per segment
-    base_rtt: int  # two-way propagation, ns
-    aqm_policy: str
-    aqm_target: int  # queue-delay target, ns
-    buffer_limit: int  # bytes
-    sender_mode: str
-    duration: int  # ns
-    aqm_ceiling: int | None = None  # ns; None means twice aqm_target
-    cc_variant: str = "reno-like"
-    ecn: bool = True
-    delayed_acks: bool = True
-    warmup: int | None = None  # ns; None means a quarter of duration
-    seed: int = 1
-    w_min_fraction: float = 1.0 / 64.0
+    capacity: int = _key(parse_rate)  # bits per second; link_problem checks it is positive
+    n_flows: int = _key(parse_int, positive=True)
+    frame_size: int = _key(parse_size, positive=True)  # header-inclusive bytes on the wire
+    smss: int = _key(parse_size, positive=True)  # payload bytes per segment
+    base_rtt: int = _key(parse_time, positive=True)  # two-way propagation, ns
+    aqm_policy: str = _key(parse_text)
+    aqm_target: int = _key(parse_time, positive=True)  # queue-delay target, ns
+    buffer_limit: int = _key(parse_size)  # bytes
+    sender_mode: str = _key(parse_text)
+    duration: int = _key(parse_time, positive=True)  # ns
+    aqm_ceiling: int | None = _key(parse_time, default=None)  # ns; None means twice aqm_target
+    cc_variant: str = _key(parse_text, default="reno-like")
+    ecn: bool = _key(parse_bool, default=True)
+    delayed_acks: bool = _key(parse_bool, default=True)
+    warmup: int | None = _key(parse_time, default=None)  # ns; None means a quarter of duration
+    seed: int = _key(parse_int, default=1)
+    w_min_fraction: float = _key(parse_float, default=1.0 / 64.0)
     # Keys given as None, so derived here; with_value derives them again.
     _derived: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
@@ -121,7 +125,8 @@ class ScenarioConfig:
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
         problem = sender_problem(self.sender_mode, self.cc_variant) or link_problem(
-            self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling
+            self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling,
+            self.frame_size,
         )
         if problem:
             raise ConfigError(*problem)
@@ -139,27 +144,10 @@ class ScenarioConfig:
         return max(1, round(self.smss * self.w_min_fraction))
 
 
-_FIELD_PARSERS = {
-    "capacity": parse_rate,
-    "n_flows": parse_int,
-    "frame_size": parse_size,
-    "smss": parse_size,
-    "base_rtt": parse_time,
-    "aqm_policy": parse_text,
-    "aqm_target": parse_time,
-    "aqm_ceiling": parse_time,
-    "buffer_limit": parse_size,
-    "sender_mode": parse_text,
-    "cc_variant": parse_text,
-    "ecn": parse_bool,
-    "delayed_acks": parse_bool,
-    "duration": parse_time,
-    "warmup": parse_time,
-    "seed": parse_int,
-    "w_min_fraction": parse_float,
-}
-
-_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
+_KEYS = [f for f in fields(ScenarioConfig) if f.init]
+_FIELD_PARSERS = {f.name: f.metadata["parse"] for f in _KEYS}
+_POSITIVE = [f.name for f in _KEYS if f.metadata["positive"]]
+_REQUIRED = [f.name for f in _KEYS if f.default is MISSING]
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:

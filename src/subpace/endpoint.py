@@ -69,7 +69,7 @@ class Tuning:
 DEFAULT_TUNING = Tuning()
 
 
-@dataclass
+@dataclass(slots=True)
 class Ack:
     flow_id: int
     ack_bytes: int
@@ -129,7 +129,7 @@ class TcpSender:
         self._dctcp_marked = 0
         self._dctcp_window_end = 0
 
-        self.pacer = Pacer(engine, INITIAL_RTT, self._on_pacer_ready)
+        self.pacer = Pacer(engine, self.rtt, self._on_pacer_ready)
         self.rto_timer = Timer(engine, self._on_rto, "rto")
 
     # -- window bookkeeping -------------------------------------------------
@@ -151,6 +151,10 @@ class TcpSender:
         credit always equals `in_flight`.
         """
         return self.window + self.unreclaimed
+
+    def rtt(self) -> int:
+        """R for the pacer and the ECE gate: the smoothed RTT, or INITIAL_RTT before a sample."""
+        return self.srtt or INITIAL_RTT
 
     def current_rto(self) -> int:
         if self.srtt is None:
@@ -256,7 +260,7 @@ class TcpSender:
             self._dctcp_account(advance, ece)
         elif ece and now >= self.ece_gate_until:
             self._reduce()
-            self.ece_gate_until = now + (self.srtt or INITIAL_RTT)
+            self.ece_gate_until = now + self.rtt()
         if advance > 0 and (self.cc_variant == DCTCP_LIKE or not ece):
             self._grow(now, advance)
 
@@ -274,8 +278,6 @@ class TcpSender:
         elif advance > 0:
             self.rto_timer.set(now + self.current_rto())
 
-        if self.srtt is not None:
-            self.pacer.update_rtt(self.srtt)
         self._pump(now)
 
     def _take_rtt_sample(self, now: int, acked_to: int) -> None:

@@ -4,11 +4,13 @@ The queue is measured in bytes; queuing delay is recomputed exactly from the
 backlog as backlog*8/capacity.  The AQM makes its drop/mark decision at
 enqueue time with probability rising linearly from the target delay to the
 ramp ceiling.  Propagation delay is split symmetrically between the forward
-and return paths; the return path is modelled elsewhere as signal-free.
+and return paths as `AqmLink.prop_one_way_ns`; the return path is modelled
+elsewhere as signal-free and reads the same split.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .engine import NS_PER_SEC, Engine, transmission_time_ns
 
@@ -19,9 +21,12 @@ MARKED = "queued+marked"
 DROPPED = "dropped"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """One simulated segment; size is the header-inclusive frame size."""
+    """One simulated segment; size is the header-inclusive frame size.
+
+    A plain record: `AqmLink.enqueue`, where packets enter the path, checks it.
+    """
 
     flow_id: int
     seq_bytes: int
@@ -31,26 +36,30 @@ class Packet:
     is_retransmission: bool = False
     sent_at: int = 0
 
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
-        if self.ce_marked and not self.ecn_capable:
-            raise ValueError("ce_marked requires ecn_capable")
-
 
 def link_problem(
-    policy: str, capacity_bps: int, buffer_limit: int, target_delay_ns: int, ramp_ceiling_ns: int
+    policy: str,
+    capacity_bps: int,
+    buffer_limit: int,
+    target_delay_ns: int,
+    ramp_ceiling_ns: int,
+    max_frame: int,
 ) -> tuple[str, str] | None:
     """The first scenario key that makes this AQM link unworkable and why, or None.
 
-    The policy must be known, the buffer must hold more than the target
-    delay's bytes, and a signalling policy's ramp must rise above the target.
+    The capacity must be positive and the policy known, the buffer must hold
+    more than the target delay's bytes and one whole frame, and a signalling
+    policy's ramp must rise above the target.
     """
-    target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
+    if capacity_bps <= 0:
+        return "capacity", "must be positive"
     if policy not in AQM_POLICIES:
         return "aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}"
+    target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
     if buffer_limit <= target_bytes:
         return "buffer_limit", f"must exceed the target's {target_bytes} B, got {buffer_limit} B"
+    if buffer_limit < max_frame:
+        return "buffer_limit", f"must hold one {max_frame} B frame, got {buffer_limit} B"
     if policy != "drop-tail" and ramp_ceiling_ns <= target_delay_ns:
         return "aqm_ceiling", f"must exceed the {target_delay_ns} ns target, got {ramp_ceiling_ns}"
     return None
@@ -76,9 +85,9 @@ class AqmLink:
         max_frame: int,
         deliver,
     ):
-        if capacity_bps <= 0:
-            raise ValueError("capacity must be positive")
-        problem = link_problem(policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns)
+        problem = link_problem(
+            policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns, max_frame
+        )
         if problem:
             raise ValueError("%s: %s" % problem)
         self.engine = engine
@@ -110,8 +119,10 @@ class AqmLink:
 
     def enqueue(self, packet: Packet) -> str:
         """Admit, mark, or drop a packet; returns the disposition."""
-        if packet.size > self.max_frame:
-            raise ValueError(f"packet size {packet.size} exceeds frame size {self.max_frame}")
+        if not 0 < packet.size <= self.max_frame:
+            raise ValueError(f"packet size must be in (0, {self.max_frame}] B, got {packet.size}")
+        if packet.ce_marked and not packet.ecn_capable:
+            raise ValueError("ce_marked requires ecn_capable")
         now = self.engine.now
         if self.backlog + packet.size > self.buffer_limit:
             return self._drop(now)
@@ -157,7 +168,7 @@ class AqmLink:
         recorder.departure(now, packet.flow_id, packet.size)
         self.engine.schedule(
             now + self.prop_one_way_ns,
-            lambda p=packet: self.deliver(p),
+            partial(self.deliver, packet),
             tag="link.deliver",
         )
         if self._fifo:

@@ -41,14 +41,13 @@ class Pacer:
     At most one wait is pending.  A wait cycle is anchored at the time it was
     armed (the window-changing event); a mid-wait window change rebases the
     wait against that same epoch.  A non-positive window arms no wait: the
-    sender asks again after the next increase.  The retained RTT estimate is
-    the last smoothed sample and is deliberately left unchanged across idle
-    periods.
+    sender asks again after the next increase.  R is read from the owner at
+    each wait: `rtt()` is called whenever a wait is armed or rebased.
     """
 
-    def __init__(self, engine: Engine, initial_rtt: int, on_ready):
+    def __init__(self, engine: Engine, rtt, on_ready):
         self.engine = engine
-        self.last_rtt = initial_rtt
+        self.rtt = rtt
         self.on_ready = on_ready
         self.epoch: int | None = None
         self.timer = Timer(engine, self._fire, "pacer.fire")
@@ -56,11 +55,6 @@ class Pacer:
     @property
     def waiting(self) -> bool:
         return self.timer.deadline is not None
-
-    def update_rtt(self, rtt: int) -> None:
-        if rtt <= 0:
-            raise ValueError("rtt estimate must be positive")
-        self.last_rtt = rtt
 
     def request(self, now: int, seg: int, window: int) -> bool:
         """Ask to send `seg` bytes now.  True means send immediately.
@@ -74,7 +68,7 @@ class Pacer:
             return True
         if window <= 0:
             return False
-        delay = pacing_delay(seg, window, self.last_rtt)
+        delay = pacing_delay(seg, window, self.rtt())
         if delay == 0:
             return True
         self.epoch = now
@@ -88,7 +82,7 @@ class Pacer:
         if window <= 0:
             self.timer.stop()
             return
-        target = self.epoch + pacing_delay(seg, window, self.last_rtt)
+        target = self.epoch + pacing_delay(seg, window, self.rtt())
         if target != self.timer.deadline:
             # An entitlement already earned fires through the queue at `now`,
             # so delivery order stays deterministic.

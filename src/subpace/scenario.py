@@ -1,13 +1,14 @@
 """Wire a scenario into a runnable simulation and measure the outcome.
 
 A simulation owns one engine, one bottleneck link, and n sender/receiver
-pairs doing bulk transfers.  ACKs return over a signal-free path of half the
-base RTT; the return path can be black-holed mid-run to study timer
-behaviour under total loss of feedback.  Metrics are computed over
+pairs doing bulk transfers.  ACKs return over a signal-free path with the
+link's one-way delay; the return path can be black-holed mid-run to study
+timer behaviour under total loss of feedback.  Metrics are computed over
 [warmup, duration] and are deterministic for a fixed (config, seed) pair.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .analysis import jain_fairness
 from .config import ScenarioConfig, parse_field_value, with_value
@@ -145,8 +146,8 @@ class Simulation:
     def _return_ack(self, ack: Ack) -> None:
         if not self.ack_blackhole:
             self.engine.schedule(
-                self.engine.now + self.cfg.base_rtt // 2,
-                lambda: self.senders[ack.flow_id].on_ack(ack),
+                self.engine.now + self.link.prop_one_way_ns,
+                partial(self.senders[ack.flow_id].on_ack, ack),
                 tag="ack.deliver",
             )
 

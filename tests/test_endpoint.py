@@ -4,9 +4,18 @@ import pytest
 from conftest import log_recorder
 from hypothesis import given, settings, strategies as st
 
-from subpace.endpoint import RTO_MAX, Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
+from subpace.endpoint import (
+    INITIAL_RTT,
+    RTO_MAX,
+    Ack,
+    ProtocolError,
+    TcpReceiver,
+    TcpSender,
+    Tuning,
+)
 from subpace.engine import MS, SEC, Engine
 from subpace.netpath import Packet
+from subpace.pacing import pacing_delay
 
 M = 1460
 OVERHEAD = 58
@@ -445,6 +454,24 @@ def test_srtt_ewma_arithmetic():
     sender.on_ack(Ack(0, 2 * M, False))  # second sample r = 26 ms
     assert sender.rttvar == (3 * 5 * MS + abs(10 * MS - 26 * MS)) // 4
     assert sender.srtt == (7 * 10 * MS + 26 * MS) // 8
+
+
+def test_pacer_waits_use_initial_rtt_then_the_smoothed_rtt():
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender.window = M // 2
+    sender.app_write(M)
+    first_wait = pacing_delay(M, M // 2, INITIAL_RTT)  # no RTT sample yet
+    assert sender.rtt() == INITIAL_RTT
+    assert sender.pacer.timer.deadline == first_wait
+    engine.run_until(first_wait)  # the wait elapses and the segment goes out
+    assert sender.snd_nxt == M and sender.window == -M // 2
+    engine.run_until(first_wait + 10 * MS)
+    sender.on_ack(Ack(0, M, False))  # first sample: srtt = 10 ms
+    assert sender.srtt == 10 * MS and sender.rtt() == sender.srtt
+    assert sender.window == M // 2 and not sender.pacer.waiting
+    sender.app_write(M)
+    assert sender.pacer.timer.deadline == engine.now + pacing_delay(M, M // 2, sender.srtt)
 
 
 def test_karn_rule_skips_retransmitted_segments():

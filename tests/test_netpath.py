@@ -147,12 +147,12 @@ def test_buffer_must_exceed_target_equivalent():
 
 
 def test_packet_validation():
-    with pytest.raises(ValueError):
-        Packet(flow_id=0, seq_bytes=0, size=0)
-    with pytest.raises(ValueError):
-        Packet(flow_id=0, seq_bytes=0, size=100, ecn_capable=False, ce_marked=True)
     engine = Engine()
     link = make_link(engine, [])
+    with pytest.raises(ValueError):
+        link.enqueue(Packet(flow_id=0, seq_bytes=0, size=0))
+    with pytest.raises(ValueError):
+        link.enqueue(Packet(flow_id=0, seq_bytes=0, size=100, ecn_capable=False, ce_marked=True))
     with pytest.raises(ValueError):
         link.enqueue(frame(size=1519))
 

@@ -85,7 +85,7 @@ class PacerHarness:
     def __init__(self):
         self.engine = Engine()
         self.fired_at = []
-        self.pacer = Pacer(self.engine, initial_rtt=6 * MS, on_ready=self.fired_at.append)
+        self.pacer = Pacer(self.engine, rtt=lambda: 6 * MS, on_ready=self.fired_at.append)
 
 
 def test_pacer_waits_then_fires():

@@ -124,17 +124,31 @@ def test_link_checks_give_the_same_message_from_config_and_link():
         target_delay_ns=cfg.aqm_target, ramp_ceiling_ns=cfg.aqm_ceiling,
         prop_rtt_ns=cfg.base_rtt, max_frame=cfg.frame_size, deliver=lambda p: None,
     )
+    link_arg = {"aqm_ceiling": "ramp_ceiling_ns", "aqm_policy": "policy",
+                "capacity": "capacity_bps", "buffer_limit": "buffer_limit"}
     cases = [
-        ("aqm_ceiling", "ramp_ceiling_ns", cfg.aqm_target),
-        ("aqm_policy", "policy", "codel"),
+        ("aqm_ceiling", {"aqm_ceiling": cfg.aqm_target}),
+        ("aqm_policy", {"aqm_policy": "codel"}),
+        ("capacity", {"capacity": 0}),
+        # 1 Mb/s puts the 5 ms target at 625 B, so only the frame check rejects 1000 B.
+        ("buffer_limit", {"capacity": 1_000_000, "buffer_limit": 1000}),
     ]
-    for field_name, link_arg, value in cases:
+    for field_name, changes in cases:
         with pytest.raises(ConfigError) as config_err:
-            replace(cfg, **{field_name: value})
+            replace(cfg, **changes)
         with pytest.raises(ValueError) as link_err:
-            AqmLink(Engine(), **{**link_args, link_arg: value})
+            AqmLink(Engine(), **{**link_args, **{link_arg[k]: v for k, v in changes.items()}})
         assert config_err.value.field_name == field_name
         assert str(link_err.value) == str(config_err.value)
+
+
+def test_buffer_below_one_frame_is_rejected():
+    # Above the target's 625 B but below one 1518 B frame: no full-size frame could queue.
+    text = SMALL.replace("capacity = 10 mbps", "capacity = 1 mbps").replace(
+        "buffer_limit = 100 KB", "buffer_limit = 1000 B")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario_text(text)
+    assert str(err.value) == "buffer_limit: must hold one 1518 B frame, got 1000 B"
 
 
 def test_sender_checks_give_the_same_message_from_file_config_and_sender():
