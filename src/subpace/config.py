@@ -94,7 +94,7 @@ class ScenarioConfig:
     n_flows: int = _key(parse_int, positive=True)
     frame_size: int = _key(parse_size, positive=True)  # header-inclusive bytes on the wire
     smss: int = _key(parse_size, positive=True)  # payload bytes per segment
-    base_rtt: int = _key(parse_time, positive=True)  # two-way propagation, ns
+    base_rtt: int = _key(parse_time)  # two-way propagation, ns; link_problem checks it is positive
     aqm_policy: str = _key(parse_text)
     aqm_target: int = _key(parse_time, positive=True)  # queue-delay target, ns
     buffer_limit: int = _key(parse_size)  # bytes
@@ -126,7 +126,7 @@ class ScenarioConfig:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
         problem = sender_problem(self.sender_mode, self.cc_variant) or link_problem(
             self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling,
-            self.frame_size,
+            self.base_rtt, self.frame_size,
         )
         if problem:
             raise ConfigError(*problem)

@@ -50,34 +50,49 @@ class Timer:
     `set(at)` replaces any pending firing with one at `at`; `stop()` drops it.
     `deadline` is the pending firing time, None when nothing is pending, and
     is already None while `action` runs, so the action may `set` again.
+
+    Tie rule: the action fires in the order slot of the latest `set`, as if
+    each `set` scheduled a fresh event and cancelled the old one.  Lazily,
+    though: one entry stays queued, and a `set` no earlier than it only stores
+    `deadline` and reserves the engine's next seq as its order key.  The entry
+    that comes due fires, is dropped after `stop`, or queues again at that key.
     """
 
-    __slots__ = ("engine", "action", "tag", "deadline", "_event")
+    __slots__ = ("engine", "action", "tag", "deadline", "_order", "_event")
 
     def __init__(self, engine: "Engine", action, tag: str):
         self.engine = engine
         self.action = action
         self.tag = tag
         self.deadline: int | None = None
-        self._event: ScheduledEvent | None = None
+        self._order = 0  # engine seq that orders `deadline` among equal times
+        self._event: ScheduledEvent | None = None  # the one queued entry
 
     def set(self, at: int) -> None:
-        event = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
-        if self._event is not None:
-            self._event.cancel()
-        self._event = event
+        event = self._event
+        if event is None or at < event.fire_at:
+            self._event = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
+            if event is not None:
+                event.cancel()
+            self._order = self._event.seq
+        else:  # at >= the queued entry's time >= now, so `at` is not in the past
+            self._order = self.engine._seq
+            self.engine._seq += 1
         self.deadline = at
 
     def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-            self.deadline = None
+        self.deadline = None
 
     def _fire(self) -> None:
-        self._event = None
-        self.deadline = None
-        self.action()
+        event, at = self._event, self.deadline
+        if at is None:
+            self._event = None
+        elif self._order == event.seq:  # seqs are unique, so the whole key matches
+            self._event = self.deadline = None
+            self.action()
+        else:
+            event.fire_at, event.seq = at, self._order
+            heapq.heappush(self.engine._heap, (at, self._order, event))
 
 
 class Recorder:
@@ -98,11 +113,12 @@ class Recorder:
 class Engine:
     """Ordered event queue plus a virtual clock.
 
-    Events at equal times fire in insertion order.  Scheduling in the past is
-    a programming error and raises immediately.  Randomness is handed out as
-    named streams derived from the master seed, one per stochastic entity, so
-    that adding entities does not perturb the draws seen by existing ones.
-    Observations go to `recorder`, which ignores them unless replaced.
+    Events at equal times fire in insertion order; a `Timer` fires in the
+    order slot of its latest `set`.  Scheduling in the past is a programming
+    error and raises immediately.  Randomness is handed out as named streams
+    derived from the master seed, one per stochastic entity, so that adding
+    entities does not perturb the draws seen by existing ones.  Observations
+    go to `recorder`, which ignores them unless replaced.
     """
 
     def __init__(self, seed: int = 0):
@@ -116,9 +132,10 @@ class Engine:
     def schedule(self, at: int, action, tag: str | None = None) -> ScheduledEvent:
         if at < self.now:
             raise ValueError(f"cannot schedule event at t={at} before current t={self.now}")
-        event = ScheduledEvent(at, self._seq, action, tag)
-        self._seq += 1
-        heapq.heappush(self._heap, (at, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(at, seq, action, tag)
+        heapq.heappush(self._heap, (at, seq, event))
         return event
 
     def run_until(self, deadline: int) -> int:
@@ -128,12 +145,12 @@ class Engine:
         """
         if deadline < self.now:
             raise ValueError(f"deadline {deadline} is before current t={self.now}")
-        while self._heap and self._heap[0][0] <= deadline:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.fire_at
-            event.action()
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= deadline:
+            at, _, event = pop(heap)
+            if not event.cancelled:
+                self.now = at
+                event.action()
         self.now = deadline
         return self.now
 

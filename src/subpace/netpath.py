@@ -43,16 +43,19 @@ def link_problem(
     buffer_limit: int,
     target_delay_ns: int,
     ramp_ceiling_ns: int,
+    prop_rtt_ns: int,
     max_frame: int,
 ) -> tuple[str, str] | None:
     """The first scenario key that makes this AQM link unworkable and why, or None.
 
-    The capacity must be positive and the policy known, the buffer must hold
-    more than the target delay's bytes and one whole frame, and a signalling
-    policy's ramp must rise above the target.
+    The capacity and the round-trip propagation delay must be positive and the
+    policy known, the buffer must hold more than the target delay's bytes and
+    one whole frame, and a signalling policy's ramp must rise above the target.
     """
     if capacity_bps <= 0:
         return "capacity", "must be positive"
+    if prop_rtt_ns <= 0:
+        return "base_rtt", "must be positive"
     if policy not in AQM_POLICIES:
         return "aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}"
     target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
@@ -86,7 +89,8 @@ class AqmLink:
         deliver,
     ):
         problem = link_problem(
-            policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns, max_frame
+            policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns, prop_rtt_ns,
+            max_frame,
         )
         if problem:
             raise ValueError("%s: %s" % problem)
@@ -103,6 +107,7 @@ class AqmLink:
 
         self.backlog = 0
         self._fifo: deque[Packet] = deque()  # the head is in service
+        self._serialize_ns: dict[int, int] = {}  # frame size -> serialization time
 
     def queue_delay(self) -> int:
         """Current queuing delay in ns, recomputed exactly from the backlog."""
@@ -153,11 +158,10 @@ class AqmLink:
         return DROPPED
 
     def _start_service(self, now: int) -> None:
-        self.engine.schedule(
-            now + transmission_time_ns(self._fifo[0].size * 8, self.capacity_bps),
-            self._depart,
-            tag="link.depart",
-        )
+        size = self._fifo[0].size
+        if size not in self._serialize_ns:
+            self._serialize_ns[size] = transmission_time_ns(size * 8, self.capacity_bps)
+        self.engine.schedule(now + self._serialize_ns[size], self._depart, tag="link.depart")
 
     def _depart(self) -> None:
         now = self.engine.now

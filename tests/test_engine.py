@@ -1,7 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+from functools import partial
 
-from subpace.engine import MS, Engine, Timer, div_round_half_up, transmission_time_ns
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from subpace.engine import (
+    MS, Engine, ScheduledEvent, Timer, div_round_half_up, transmission_time_ns,
+)
 
 
 def test_fifo_tie_break_at_equal_times():
@@ -162,6 +166,148 @@ def test_timer_fires_after_plain_event_scheduled_earlier_at_same_time():
     timer.set(5)
     engine.run_until(10)
     assert order == ["plain", "timer"]
+
+
+def test_timer_set_in_the_past_raises_and_keeps_the_deadline():
+    engine = Engine()
+    fired = []
+    idle = Timer(engine, lambda: fired.append(("idle", engine.now)), "t")
+    stale = Timer(engine, lambda: fired.append(("stale", engine.now)), "t")
+    lazy = Timer(engine, lambda: fired.append(("lazy", engine.now)), "t")
+    stale.set(40)
+    stale.stop()  # its entry at 40 stays queued
+    lazy.set(10)
+    lazy.set(30)  # stored only; the entry at 10 queues itself again at 30
+    engine.run_until(20)
+    for timer, deadline in ((idle, None), (stale, None), (lazy, 30)):
+        with pytest.raises(ValueError):
+            timer.set(15)
+        assert timer.deadline == deadline
+    engine.run_until(100)
+    assert fired == [("lazy", 30)]
+
+
+def test_timer_later_then_earlier_set_cancels_exactly_one_entry(monkeypatch):
+    cancelled = []
+    cancel = ScheduledEvent.cancel
+
+    def spy(event):
+        cancelled.append(event.fire_at)
+        cancel(event)
+
+    monkeypatch.setattr(ScheduledEvent, "cancel", spy)
+    engine = Engine()
+    fired = []
+    timer = Timer(engine, lambda: fired.append(engine.now), "t")
+    timer.set(10)
+    timer.set(20)
+    assert cancelled == []
+    timer.set(5)
+    assert cancelled == [10]
+    assert timer.deadline == 5
+    engine.run_until(100)
+    assert fired == [5]
+    assert cancelled == [10]
+
+
+def test_timer_set_again_after_stop_fires_after_plain_event_at_that_time():
+    engine = Engine()
+    order = []
+    timer = Timer(engine, lambda: order.append("timer"), "t")
+    timer.set(5)
+    timer.stop()
+    engine.schedule(5, lambda: order.append("plain"))
+    timer.set(5)
+    engine.run_until(10)
+    assert order == ["plain", "timer"]
+
+
+class EagerTimer:
+    """Reference for `Timer`: every `set` schedules a fresh event and cancels the old one."""
+
+    def __init__(self, engine, action, tag):
+        self.engine = engine
+        self.action = action
+        self.tag = tag
+        self.deadline = None
+        self._event = None
+
+    def set(self, at):
+        event = self.engine.schedule(at, self._fire, self.tag)
+        if self._event is not None:
+            self._event.cancel()
+        self._event = event
+        self.deadline = at
+
+    def stop(self):
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+            self.deadline = None
+
+    def _fire(self):
+        self._event = None
+        self.deadline = None
+        self.action()
+
+
+N_TIMERS = 3
+# One timer operation: ("set", timer, delay from now) or ("stop", timer).
+timer_ops = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, N_TIMERS - 1), st.integers(0, 4)),
+    st.tuples(st.just("stop"), st.integers(0, N_TIMERS - 1)),
+)
+plan_steps = st.one_of(
+    timer_ops,
+    # A plain event at now + delay that runs the given operations.
+    st.tuples(st.just("event"), st.integers(0, 4), st.lists(timer_ops, max_size=3)),
+    st.tuples(st.just("run"), st.integers(0, 5)),
+)
+# reactions[i][k]: the operations timer i runs on its k-th firing.
+timer_reactions = st.lists(
+    st.lists(st.lists(timer_ops, max_size=3), max_size=4), min_size=N_TIMERS, max_size=N_TIMERS
+)
+
+
+def run_timer_plan(timer_cls, steps, reactions):
+    """Firing log of (who, now) and each step's deadlines, driving timer_cls through a plan."""
+    engine = Engine()
+    log, deadlines = [], []
+    firings = [0] * N_TIMERS
+
+    def apply(op):
+        if op[0] == "set":
+            timers[op[1]].set(engine.now + op[2])
+        else:
+            timers[op[1]].stop()
+
+    def on_timer(i):
+        log.append((i, engine.now))
+        k, firings[i] = firings[i], firings[i] + 1
+        for op in reactions[i][k] if k < len(reactions[i]) else ():
+            apply(op)
+
+    def on_event(name, ops):
+        log.append((name, engine.now))
+        for op in ops:
+            apply(op)
+
+    timers = [timer_cls(engine, partial(on_timer, i), "t") for i in range(N_TIMERS)]
+    for n, step in enumerate(steps + [("run", 100)]):
+        if step[0] == "event":
+            engine.schedule(engine.now + step[1], partial(on_event, f"event {n}", step[2]))
+        elif step[0] == "run":
+            engine.run_until(engine.now + step[1])
+        else:
+            apply(step)
+        deadlines.append([timer.deadline for timer in timers])
+    return log, deadlines
+
+
+@settings(max_examples=400)
+@given(st.lists(plan_steps, max_size=30), timer_reactions)
+def test_timer_fires_in_the_same_order_as_the_eager_reference(steps, reactions):
+    assert run_timer_plan(Timer, steps, reactions) == run_timer_plan(EagerTimer, steps, reactions)
 
 
 def test_div_round_half_up():

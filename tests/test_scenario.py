@@ -125,11 +125,13 @@ def test_link_checks_give_the_same_message_from_config_and_link():
         prop_rtt_ns=cfg.base_rtt, max_frame=cfg.frame_size, deliver=lambda p: None,
     )
     link_arg = {"aqm_ceiling": "ramp_ceiling_ns", "aqm_policy": "policy",
-                "capacity": "capacity_bps", "buffer_limit": "buffer_limit"}
+                "capacity": "capacity_bps", "buffer_limit": "buffer_limit",
+                "base_rtt": "prop_rtt_ns"}
     cases = [
         ("aqm_ceiling", {"aqm_ceiling": cfg.aqm_target}),
         ("aqm_policy", {"aqm_policy": "codel"}),
         ("capacity", {"capacity": 0}),
+        ("base_rtt", {"base_rtt": -4 * MS}),
         # 1 Mb/s puts the 5 ms target at 625 B, so only the frame check rejects 1000 B.
         ("buffer_limit", {"capacity": 1_000_000, "buffer_limit": 1000}),
     ]
