@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +9,8 @@ import pytest
 from conftest import log_recorder, log_sends
 from hypothesis import example, given, strategies as st
 
-from subpace import cli
+import subpace
+from subpace import cli, scenario
 from subpace.config import (
     ConfigError,
     ScenarioConfig,
@@ -20,6 +24,7 @@ from subpace.netpath import AqmLink
 from subpace.scenario import (
     Meter,
     Simulation,
+    derive_sweep_seed,
     render_metrics_csv,
     render_sweep_csv,
     run_scenario,
@@ -270,6 +275,45 @@ def test_sweep_empty_values_gives_header_only():
 def test_sweep_unknown_field_is_an_error():
     with pytest.raises(ConfigError):
         sweep(small_config(), "not_a_key", ["1"])
+
+
+def test_sweep_checks_every_value_before_any_row_runs(monkeypatch):
+    def no_row(cfg):
+        raise AssertionError("a row ran before every value was checked")
+
+    monkeypatch.setattr(scenario, "run_scenario", no_row)
+    with pytest.raises(ConfigError) as err:
+        sweep(small_config(), "n_flows", ["4", "nope"])
+    assert err.value.field_name == "n_flows"
+
+
+def test_sweep_rows_equal_in_process_runs():
+    cfg = small_config(duration=2 * SEC, warmup=500 * MS)
+
+    def flows_cfg(index, n):
+        row = with_value(cfg, "n_flows", int(n))
+        return with_value(row, "seed", derive_sweep_seed(cfg.seed, index))
+
+    flows = ["8", "2", "4"]  # heaviest first, so the workers finish out of order
+    expected = [(n, run_scenario(flows_cfg(i, n))) for i, n in enumerate(flows)]
+    got = sweep(cfg, "n_flows", flows)
+    assert render_sweep_csv("n_flows", got) == render_sweep_csv("n_flows", expected)
+
+    seeds = ["7", "3"]
+    expected = [(s, run_scenario(with_value(cfg, "seed", int(s)))) for s in seeds]
+    got = sweep(cfg, "seed", seeds)
+    assert render_sweep_csv("seed", got) == render_sweep_csv("seed", expected)
+
+
+def test_import_loads_no_process_pool():
+    # sweep() imports the pool itself; at module level it would add about
+    # 25 ms to every start of the package.
+    pool_modules = "{'multiprocessing', 'concurrent.futures.process'}"
+    code = f"import sys, subpace; print(sorted({pool_modules} & set(sys.modules)))"
+    src = str(Path(subpace.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_queue_delay_grows_with_flow_count_once_floor_binds():
