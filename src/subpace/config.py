@@ -17,8 +17,11 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; names the offending field."""
 
     def __init__(self, field_name: str, message: str):
-        self.field_name = field_name
+        self.field_name, self.message = field_name, message
         super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        return ConfigError, (self.field_name, self.message)
 
 
 _TIME_UNITS = {"ns": 1, "us": US, "ms": MS, "s": SEC}

@@ -28,20 +28,23 @@ def transmission_time_ns(bits: int, rate_bps: int) -> int:
     return div_round_half_up(bits * NS_PER_SEC, rate_bps)
 
 
+def _cancelled() -> None: ...  # the action of a cancelled heap entry
+
+
 class ScheduledEvent:
-    """Handle for a scheduled action; permits cancellation before firing."""
+    """A `Timer`'s handle on its queued entry; `cancel()` makes the entry's action a no-op."""
 
-    __slots__ = ("fire_at", "seq", "action", "tag", "cancelled")
+    __slots__ = ("entry", "tag")
 
-    def __init__(self, fire_at: int, seq: int, action, tag: str | None):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.action = action
+    def __init__(self, entry: list, tag: str | None):
+        self.entry = entry
         self.tag = tag
-        self.cancelled = False
+
+    fire_at = property(lambda self: self.entry[0])
+    cancelled = property(lambda self: self.entry[2] is _cancelled)
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self.entry[2] = _cancelled
 
 
 class Timer:
@@ -56,6 +59,7 @@ class Timer:
     though: one entry stays queued, and a `set` no earlier than it only stores
     `deadline` and reserves the engine's next seq as its order key.  The entry
     that comes due fires, is dropped after `stop`, or queues again at that key.
+    An earlier `set` queues a new entry and cancels the old by its handle.
     """
 
     __slots__ = ("engine", "action", "tag", "deadline", "_order", "_event")
@@ -70,11 +74,12 @@ class Timer:
 
     def set(self, at: int) -> None:
         event = self._event
-        if event is None or at < event.fire_at:
-            self._event = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
+        if event is None or at < event.entry[0]:
+            entry = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
             if event is not None:
                 event.cancel()
-            self._order = self._event.seq
+            self._event = ScheduledEvent(entry, self.tag)
+            self._order = entry[1]
         else:  # at >= the queued entry's time >= now, so `at` is not in the past
             self._order = self.engine._seq
             self.engine._seq += 1
@@ -84,15 +89,15 @@ class Timer:
         self.deadline = None
 
     def _fire(self) -> None:
-        event, at = self._event, self.deadline
+        entry, at = self._event.entry, self.deadline
         if at is None:
             self._event = None
-        elif self._order == event.seq:  # seqs are unique, so the whole key matches
+        elif self._order == entry[1]:  # seqs are unique, so the whole key matches
             self._event = self.deadline = None
             self.action()
-        else:
-            event.fire_at, event.seq = at, self._order
-            heapq.heappush(self.engine._heap, (at, self._order, event))
+        else:  # the same list, so the action `schedule` queued fires again
+            entry[0], entry[1] = at, self._order
+            heapq.heappush(self.engine._heap, entry)
 
 
 class Recorder:
@@ -113,33 +118,35 @@ class Recorder:
 class Engine:
     """Ordered event queue plus a virtual clock.
 
-    Events at equal times fire in insertion order; a `Timer` fires in the
-    order slot of its latest `set`.  Scheduling in the past is a programming
-    error and raises immediately.  Randomness is handed out as named streams
-    derived from the master seed, one per stochastic entity, so that adding
-    entities does not perturb the draws seen by existing ones.  Observations
-    go to `recorder`, which ignores them unless replaced.
+    Every event enters through `schedule` as a plain heap entry; `tag` is for
+    observers.  Events at equal times fire in insertion order; a `Timer` fires
+    in the order slot of its latest `set`.  Scheduling in the past is a
+    programming error and raises immediately.  Randomness is handed out as
+    named streams derived from the master seed, one per stochastic entity, so
+    that adding entities does not perturb the draws seen by existing ones.
+    Observations go to `recorder`, which ignores them unless replaced.
     """
 
     def __init__(self, seed: int = 0):
         self.now = 0
         self.seed = seed
         self.recorder = Recorder()
-        self._heap: list[tuple[int, int, ScheduledEvent]] = []
+        self._heap: list[list] = []  # entries [at, seq, action]
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
 
-    def schedule(self, at: int, action, tag: str | None = None) -> ScheduledEvent:
+    def schedule(self, at: int, action, tag: str | None = None) -> list:
+        """Queue `action` to run at `at`; returns its heap entry `[at, seq, action]`."""
         if at < self.now:
             raise ValueError(f"cannot schedule event at t={at} before current t={self.now}")
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(at, seq, action, tag)
-        heapq.heappush(self._heap, (at, seq, event))
-        return event
+        entry = [at, seq, action]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def run_until(self, deadline: int) -> int:
-        """Deliver every pending event with fire_at <= deadline, in order.
+        """Deliver every pending event due at or before deadline, in order.
 
         The clock ends at the deadline even if the queue drains early.
         """
@@ -147,10 +154,8 @@ class Engine:
             raise ValueError(f"deadline {deadline} is before current t={self.now}")
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= deadline:
-            at, _, event = pop(heap)
-            if not event.cancelled:
-                self.now = at
-                event.action()
+            self.now, _, action = pop(heap)
+            action()
         self.now = deadline
         return self.now
 

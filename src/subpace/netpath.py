@@ -104,6 +104,8 @@ class AqmLink:
         self.max_frame = max_frame
         self.deliver = deliver
         self.rng = engine.stream("aqm/0")
+        # The largest backlog whose queue_delay() is within the target.
+        self.target_backlog = (capacity_bps * (2 * target_delay_ns + 1) - 1) // (16 * NS_PER_SEC)
 
         self.backlog = 0
         self._fifo: deque[Packet] = deque()  # the head is in service
@@ -131,8 +133,8 @@ class AqmLink:
         now = self.engine.now
         if self.backlog + packet.size > self.buffer_limit:
             return self._drop(now)
-        if self.policy != "drop-tail":
-            prob = self.signal_probability()
+        if self.policy != "drop-tail":  # draws on every enqueue, signal or not
+            prob = self.signal_probability() if self.backlog > self.target_backlog else 0.0
             if self.rng.random() < prob:
                 if self.policy == "red-drop":
                     return self._drop(now)

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -29,7 +30,7 @@ def test_events_delivered_in_time_order():
 def test_cancelled_event_never_fires():
     engine = Engine()
     fired = []
-    handle = engine.schedule(5, lambda: fired.append(1))
+    handle = ScheduledEvent(engine.schedule(5, lambda: fired.append(1)), None)
     handle.cancel()
     engine.run_until(100)
     assert fired == []
@@ -233,7 +234,7 @@ class EagerTimer:
         self._event = None
 
     def set(self, at):
-        event = self.engine.schedule(at, self._fire, self.tag)
+        event = ScheduledEvent(self.engine.schedule(at, self._fire, self.tag), self.tag)
         if self._event is not None:
             self._event.cancel()
         self._event = event
@@ -269,9 +270,9 @@ timer_reactions = st.lists(
 )
 
 
-def run_timer_plan(timer_cls, steps, reactions):
+def run_timer_plan(timer_cls, steps, reactions, engine=None):
     """Firing log of (who, now) and each step's deadlines, driving timer_cls through a plan."""
-    engine = Engine()
+    engine = Engine() if engine is None else engine
     log, deadlines = [], []
     firings = [0] * N_TIMERS
 
@@ -310,6 +311,61 @@ def test_timer_fires_in_the_same_order_as_the_eager_reference(steps, reactions):
     assert run_timer_plan(Timer, steps, reactions) == run_timer_plan(EagerTimer, steps, reactions)
 
 
+class CountingEngine(Engine):
+    """Counts, by tag, the actions given to `schedule` and the calls of the
+    wrappers it queues in their place, as perfbench's tracer does."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled, self.fired = Counter(), Counter()
+
+    def schedule(self, at, action, tag=None):
+        def counted():
+            self.fired[tag] += 1
+            action()
+
+        self.scheduled[tag] += 1
+        return super().schedule(at, counted, tag)
+
+
+class CountingTimer(Timer):
+    """A `Timer` that counts the runs of its `_fire` on its `CountingEngine`."""
+
+    def _fire(self):
+        self.engine.fired["_fire"] += 1
+        super()._fire()
+
+
+@settings(max_examples=200)
+@given(st.lists(plan_steps, max_size=30), timer_reactions)
+def test_cancelled_entries_never_reach_their_callable(steps, reactions):
+    engine = CountingEngine()
+    log, _ = run_timer_plan(EagerTimer, steps, reactions, engine)
+    fires = sum(1 for who, _ in log if isinstance(who, int))
+    assert engine.fired["t"] == fires
+    assert engine.fired[None] == engine.scheduled[None] == len(log) - fires
+
+    engine = CountingEngine()
+    assert run_timer_plan(CountingTimer, steps, reactions, engine)[0] == log
+    assert engine.fired["t"] == engine.fired["_fire"]
+
+
+def test_requeued_timer_entry_keeps_the_scheduled_action():
+    engine = CountingEngine()
+    fired = []
+    timer = Timer(engine, lambda: fired.append(engine.now), "t")
+    timer.set(10)
+    timer.set(20)  # stored only; the entry at 10 queues itself again at 20
+    (entry,) = engine._heap
+    action = entry[2]
+    engine.run_until(15)
+    assert len(engine._heap) == 1 and engine._heap[0] is entry
+    assert entry[0] == 20 and entry[2] is action
+    engine.run_until(100)
+    assert fired == [20]
+    assert engine.scheduled["t"] == 1 and engine.fired["t"] == 2
+
+
 def test_div_round_half_up():
     assert div_round_half_up(5, 2) == 3
     assert div_round_half_up(4, 2) == 2
@@ -335,7 +391,7 @@ def test_schedule_cancel_property(plan):
     fired = []
     handles = []
     for at, keep in plan:
-        handle = engine.schedule(at, lambda at=at: fired.append(at))
+        handle = ScheduledEvent(engine.schedule(at, lambda at=at: fired.append(at)), None)
         handles.append((handle, keep))
     for handle, keep in handles:
         if not keep:

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from conftest import log_recorder
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from subpace.engine import MS, Engine
+from subpace.engine import MS, SEC, Engine
 from subpace.netpath import DROPPED, MARKED, QUEUED, AqmLink, Packet
 
 
@@ -180,3 +182,37 @@ def test_byte_conservation(sizes, seed):
     assert link.backlog == 0  # fully drained by now
     assert len(log.of("drop")) == len(dropped)
     assert sum(p.size for p in delivered) == departed
+
+
+@given(
+    st.integers(min_value=1_000, max_value=10**11),
+    st.integers(min_value=0, max_value=SEC),
+    st.integers(min_value=0, max_value=10**9),
+)
+# Capacities that put a backlog's delay exactly on a half nanosecond, where rounding decides.
+@example(16 * SEC, 0, 0)
+@example(16 * SEC + 1, 0, 0)
+@example(16 * SEC // 3, 1, 0)
+def test_signal_probability_is_zero_exactly_up_to_the_target_backlog(capacity, target, anywhere):
+    buffer_limit = target * capacity // (8 * SEC) + 2_000
+    link = make_link(Engine(), [], capacity=capacity, buffer_limit=buffer_limit,
+                     target=target, ceiling=target + MS)
+    edge = link.target_backlog
+    for backlog in (max(0, edge - 1), edge, edge + 1, anywhere):
+        link.backlog = backlog
+        quiet = backlog <= edge
+        assert (link.signal_probability() == 0.0) == quiet
+        assert (link.queue_delay() <= target) == quiet
+
+
+@pytest.mark.parametrize("policy", ["red-drop", "ramp-mark"])
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=16))
+def test_enqueues_below_the_target_draw_the_aqm_stream_once_each(policy, seed, n):
+    link = make_link(Engine(seed), [], policy=policy)
+    for i in range(n):
+        assert link.backlog <= link.target_backlog
+        assert link.enqueue(frame(seq=i * 1518)) == QUEUED
+    reference = random.Random(f"{seed}:aqm/0")
+    for _ in range(n):
+        reference.random()
+    assert link.rng.getstate() == reference.getstate()

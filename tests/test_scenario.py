@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -514,3 +515,10 @@ def test_cli_bad_config_reports_field_and_fails(tmp_path, capsys):
 
 def test_cli_missing_file_fails(capsys):
     assert cli.main(["run", "/nonexistent/path.txt"]) == 1
+
+
+def test_config_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ConfigError("n_flows", "must be positive")))
+    assert type(err) is ConfigError
+    assert err.field_name == "n_flows"
+    assert str(err) == "n_flows: must be positive"
