@@ -6,6 +6,7 @@ import sys
 
 from .analysis import pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, load_scenario, parse_rate, parse_size, parse_time, with_value
+from .endpoint import ProtocolError
 from .scenario import render_metrics_csv, render_regions_csv, render_sweep_csv, run_scenario, sweep
 
 
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ProtocolError, ValueError) as exc:
         print(f"subpace: error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,22 +32,21 @@ def _cancelled() -> None: ...  # the action of a cancelled heap entry
 
 
 class ScheduledEvent:
-    """A `Timer`'s handle on its queued entry; `cancel()` makes the entry's action a no-op."""
+    """A handle on one queued entry; `cancel()` makes the entry's action a no-op."""
 
     __slots__ = ("entry", "tag")
 
-    def __init__(self, entry: list, tag: str | None):
+    def __init__(self, entry: list | None, tag: str | None):
         self.entry = entry
         self.tag = tag
 
-    fire_at = property(lambda self: self.entry[0])
     cancelled = property(lambda self: self.entry[2] is _cancelled)
 
     def cancel(self) -> None:
         self.entry[2] = _cancelled
 
 
-class Timer:
+class Timer(ScheduledEvent):
     """One pending `action` per owner, scheduled on `engine` under `tag`.
 
     `set(at)` replaces any pending firing with one at `at`; `stop()` drops it.
@@ -59,26 +58,26 @@ class Timer:
     though: one entry stays queued, and a `set` no earlier than it only stores
     `deadline` and reserves the engine's next seq as its order key.  The entry
     that comes due fires, is dropped after `stop`, or queues again at that key.
-    An earlier `set` queues a new entry and cancels the old by its handle.
+    The timer is the handle on that entry (`entry`, None when none is queued):
+    an earlier `set` queues a new entry and cancels the old one.
     """
 
-    __slots__ = ("engine", "action", "tag", "deadline", "_order", "_event")
+    __slots__ = ("engine", "action", "deadline", "_order")
 
     def __init__(self, engine: "Engine", action, tag: str):
+        super().__init__(None, tag)
         self.engine = engine
         self.action = action
-        self.tag = tag
         self.deadline: int | None = None
         self._order = 0  # engine seq that orders `deadline` among equal times
-        self._event: ScheduledEvent | None = None  # the one queued entry
 
     def set(self, at: int) -> None:
-        event = self._event
-        if event is None or at < event.entry[0]:
+        queued = self.entry
+        if queued is None or at < queued[0]:
             entry = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
-            if event is not None:
-                event.cancel()
-            self._event = ScheduledEvent(entry, self.tag)
+            if queued is not None:
+                self.cancel()
+            self.entry = entry
             self._order = entry[1]
         else:  # at >= the queued entry's time >= now, so `at` is not in the past
             self._order = self.engine._seq
@@ -89,11 +88,11 @@ class Timer:
         self.deadline = None
 
     def _fire(self) -> None:
-        entry, at = self._event.entry, self.deadline
+        entry, at = self.entry, self.deadline
         if at is None:
-            self._event = None
+            self.entry = None
         elif self._order == entry[1]:  # seqs are unique, so the whole key matches
-            self._event = self.deadline = None
+            self.entry = self.deadline = None
             self.action()
         else:  # the same list, so the action `schedule` queued fires again
             entry[0], entry[1] = at, self._order

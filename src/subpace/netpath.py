@@ -37,6 +37,11 @@ class Packet:
     sent_at: int = 0
 
 
+def target_backlog(capacity_bps: int, target_delay_ns: int) -> int:
+    """The largest backlog, in bytes, whose rounded queuing delay is within the target."""
+    return (capacity_bps * (2 * target_delay_ns + 1) - 1) // (16 * NS_PER_SEC)
+
+
 def link_problem(
     policy: str,
     capacity_bps: int,
@@ -49,8 +54,8 @@ def link_problem(
     """The first scenario key that makes this AQM link unworkable and why, or None.
 
     The capacity and the round-trip propagation delay must be positive and the
-    policy known, the buffer must hold more than the target delay's bytes and
-    one whole frame, and a signalling policy's ramp must rise above the target.
+    policy known, the buffer must hold more than `target_backlog` bytes and one
+    whole frame, and a signalling policy's ramp must rise above the target.
     """
     if capacity_bps <= 0:
         return "capacity", "must be positive"
@@ -58,7 +63,7 @@ def link_problem(
         return "base_rtt", "must be positive"
     if policy not in AQM_POLICIES:
         return "aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}"
-    target_bytes = target_delay_ns * capacity_bps // (8 * NS_PER_SEC)
+    target_bytes = target_backlog(capacity_bps, target_delay_ns)
     if buffer_limit <= target_bytes:
         return "buffer_limit", f"must exceed the target's {target_bytes} B, got {buffer_limit} B"
     if buffer_limit < max_frame:
@@ -104,8 +109,7 @@ class AqmLink:
         self.max_frame = max_frame
         self.deliver = deliver
         self.rng = engine.stream("aqm/0")
-        # The largest backlog whose queue_delay() is within the target.
-        self.target_backlog = (capacity_bps * (2 * target_delay_ns + 1) - 1) // (16 * NS_PER_SEC)
+        self.target_backlog = target_backlog(capacity_bps, target_delay_ns)
 
         self.backlog = 0
         self._fifo: deque[Packet] = deque()  # the head is in service
@@ -117,9 +121,9 @@ class AqmLink:
 
     def signal_probability(self) -> float:
         """Linear ramp from 0 at the target delay to 1 at the ceiling."""
-        delay = self.queue_delay()
-        if delay <= self.target_delay_ns:
+        if self.backlog <= self.target_backlog:
             return 0.0
+        delay = self.queue_delay()
         if delay >= self.ramp_ceiling_ns:
             return 1.0
         return (delay - self.target_delay_ns) / (self.ramp_ceiling_ns - self.target_delay_ns)

@@ -152,17 +152,13 @@ class Simulation:
                 tag="ack.deliver",
             )
 
-    def set_ack_blackhole(self, enabled: bool) -> None:
-        self.ack_blackhole = enabled
-
-    def start(self) -> None:
+    def run(self, until: int | None = None) -> "Simulation":
+        """Advance to `until`, by default the duration; the first call starts the
+        flows at t = 0, so a recorder installed after construction sees them."""
         if not self._started:
             self._started = True
             for sender in self.senders:
                 sender.app_write(BULK_BYTES)
-
-    def run(self, until: int | None = None) -> "Simulation":
-        self.start()
         self.engine.run_until(self.cfg.duration if until is None else until)
         return self
 

@@ -202,12 +202,11 @@ def test_acceptance_7_backoff_replacement():
     sim = Simulation(cfg, tuning=tuning)
     sender = sim.senders[0]
     sends = log_sends(sender)
-    sim.start()
-    sim.engine.run_until(10 * SEC)  # settle into a sub-segment window
+    sim.run(10 * SEC)  # settle into a sub-segment window
 
-    sim.set_ack_blackhole(True)
+    sim.ack_blackhole = True
     mark = len(sends)
-    sim.engine.run_until(16 * SEC)
+    sim.run(16 * SEC)
     retx_times = [t for (t, _, _, retx) in sends[mark:] if retx]
     assert len(retx_times) >= 7
     intervals = [b - a for a, b in zip(retx_times, retx_times[1:])]
@@ -215,7 +214,7 @@ def test_acceptance_7_backoff_replacement():
     assert abs(ratios[4] - 2.0) <= 0.2  # within 10% of doubling by the 5th
 
     # Path heals: the first ACK through must promptly enable the next send.
-    sim.set_ack_blackhole(False)
+    sim.ack_blackhole = False
     ack_seen = []
     original_on_ack = sender.on_ack
 
@@ -226,7 +225,7 @@ def test_acceptance_7_backoff_replacement():
 
     sender.on_ack = spy
     sends_before = len(sends)
-    sim.engine.run_until(24 * SEC)
+    sim.run(24 * SEC)
     assert ack_seen, "no ACK arrived after the path was restored"
     next_sends = [t for (t, _, _, _) in sends[sends_before:] if t >= ack_seen[0]]
     assert next_sends and next_sends[0] - ack_seen[0] <= 1 * MS

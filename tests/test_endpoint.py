@@ -1,4 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 from conftest import log_recorder
@@ -241,6 +246,38 @@ def test_dctcp_alpha_stays_in_unit_interval(fractions):
 
 # -- invariant checks ---------------------------------------------------------
 # Raised as ProtocolError rather than asserted, so they still run under -O.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so an invariant checked by one would vanish.
+    for path in sorted((SRC / "subpace").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert on lines {asserts}"
+
+
+OPTIMIZED_ACK_CHECK = """
+from subpace.endpoint import Ack, ProtocolError, TcpSender
+from subpace.engine import Engine
+engine = Engine()
+sender = TcpSender(engine, flow_id=0, mss=1460, frame_overhead=58, mode="submss",
+                   cc_variant="reno-like", ecn_capable=True, w_min=22, transmit=lambda p: None)
+sender.app_write(3 * 1460)
+engine.run_until(1_000_000)
+try:
+    sender.on_ack(Ack(0, sender.snd_nxt + 1, False))
+except ProtocolError as exc:
+    print(exc)
+"""
+
+
+def test_ack_beyond_snd_nxt_raises_under_python_O():
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_ACK_CHECK], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert "beyond snd_nxt" in out.stdout
+
 
 def test_send_to_minus_mss_raises():
     engine = Engine()

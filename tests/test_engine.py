@@ -193,7 +193,7 @@ def test_timer_later_then_earlier_set_cancels_exactly_one_entry(monkeypatch):
     cancel = ScheduledEvent.cancel
 
     def spy(event):
-        cancelled.append(event.fire_at)
+        cancelled.append(event.entry[0])
         cancel(event)
 
     monkeypatch.setattr(ScheduledEvent, "cancel", spy)

@@ -5,7 +5,9 @@ from conftest import log_recorder
 from hypothesis import example, given, settings, strategies as st
 
 from subpace.engine import MS, SEC, Engine
-from subpace.netpath import DROPPED, MARKED, QUEUED, AqmLink, Packet
+from subpace.netpath import (
+    DROPPED, MARKED, QUEUED, AqmLink, Packet, link_problem, target_backlog,
+)
 
 
 def make_link(engine, delivered, policy="ramp-mark", capacity=40_000_000,
@@ -203,6 +205,22 @@ def test_signal_probability_is_zero_exactly_up_to_the_target_backlog(capacity, t
         quiet = backlog <= edge
         assert (link.signal_probability() == 0.0) == quiet
         assert (link.queue_delay() <= target) == quiet
+
+
+@given(
+    st.integers(min_value=1_000, max_value=10**11),
+    st.integers(min_value=1, max_value=SEC),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1518, max_value=10**9),
+)
+# 40 Gb/s, 5 ms: T*C/8e9 is 25,000,000 B, but the AQM is quiet up to 25,000,002 B.
+@example(40_000_000_000, 5 * MS, -1, 1518)
+def test_link_problem_rejects_a_buffer_exactly_up_to_the_target_backlog(capacity, target, near,
+                                                                      anywhere):
+    edge = target_backlog(capacity, target)
+    for buffer_limit in (max(1518, edge + near), anywhere):
+        problem = link_problem("ramp-mark", capacity, buffer_limit, target, 2 * target, MS, 1518)
+        assert (problem is not None and problem[0] == "buffer_limit") == (buffer_limit <= edge)
 
 
 @pytest.mark.parametrize("policy", ["red-drop", "ramp-mark"])

@@ -19,7 +19,7 @@ from subpace.config import (
     parse_scenario_text,
     with_value,
 )
-from subpace.endpoint import TcpSender
+from subpace.endpoint import ProtocolError, TcpSender
 from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
@@ -140,6 +140,9 @@ def test_link_checks_give_the_same_message_from_config_and_link():
         ("base_rtt", {"base_rtt": -4 * MS}),
         # 1 Mb/s puts the 5 ms target at 625 B, so only the frame check rejects 1000 B.
         ("buffer_limit", {"capacity": 1_000_000, "buffer_limit": 1000}),
+        # 40 Gb/s puts the 5 ms target at 25,000,000 B rounded down, but the AQM
+        # signals only above 25,000,002 B, so a buffer between can never signal.
+        ("buffer_limit", {"capacity": 40_000_000_000, "buffer_limit": 25_000_001}),
     ]
     for field_name, changes in cases:
         with pytest.raises(ConfigError) as config_err:
@@ -515,6 +518,17 @@ def test_cli_bad_config_reports_field_and_fails(tmp_path, capsys):
 
 def test_cli_missing_file_fails(capsys):
     assert cli.main(["run", "/nonexistent/path.txt"]) == 1
+
+
+def test_cli_reports_a_protocol_error_and_fails(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise ProtocolError("flow 0: ACK for 3000 beyond snd_nxt 2920")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    scenario = tmp_path / "small.txt"
+    scenario.write_text(SMALL)
+    assert cli.main(["run", str(scenario)]) == 1
+    assert capsys.readouterr().err == "subpace: error: flow 0: ACK for 3000 beyond snd_nxt 2920\n"
 
 
 def test_config_error_survives_pickling():
