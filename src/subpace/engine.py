@@ -100,11 +100,12 @@ class Timer(ScheduledEvent):
 
 
 class Recorder:
-    """What the link and senders observe, stamped with `now`; this base ignores it.
+    """What the link and senders observe, stamped with its time; this base ignores it.
 
-    `backlog`: the queue now holds that many bytes.  `departure`: a frame left
-    the link.  `drop`, `mark`: an arriving frame was dropped or CE-marked.
-    `rto`: a retransmission timer fired with data in flight.
+    `backlog`: from then on the queue holds that many bytes.  `departure`: a
+    frame left the link; the link reports it when it retires it.  `drop`,
+    `mark`: an arriving frame was dropped or CE-marked.  `rto`: a
+    retransmission timer fired with data in flight.
     """
 
     def backlog(self, now: int, backlog: int) -> None: ...

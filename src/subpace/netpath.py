@@ -1,11 +1,11 @@
 """Bottleneck path model: fixed-rate link, FIFO byte queue, delay-ramp AQM.
 
 The queue is measured in bytes; queuing delay is recomputed exactly from the
-backlog as backlog*8/capacity.  The AQM makes its drop/mark decision at
-enqueue time with probability rising linearly from the target delay to the
-ramp ceiling.  Propagation delay is split symmetrically between the forward
-and return paths as `AqmLink.prop_one_way_ns`; the return path is modelled
-elsewhere as signal-free and reads the same split.
+backlog as backlog*8/capacity.  The AQM decides drop/mark at enqueue time with
+probability rising linearly from the target delay to the ramp ceiling.  Each
+departure is fixed at admission (Lindley's recursion), so the backlog falls when
+`retire` accounts it, not by an event.  Each direction takes half the round-trip
+propagation delay, `AqmLink.prop_one_way_ns`; the signal-free return path reads it too.
 """
 
 from collections import deque
@@ -77,8 +77,8 @@ class AqmLink:
     """FIFO byte queue drained at a fixed bit rate, governed by an AQM policy.
 
     `deliver(packet)` is called one forward propagation delay after each
-    departure.  Backlog counts every queued byte including the packet in
-    service; it is decremented when the packet finishes serializing.
+    departure, which is fixed at admission.  Backlog counts every queued byte
+    including the packet in service; `retire` lowers it as departures fall due.
     """
 
     def __init__(
@@ -112,7 +112,8 @@ class AqmLink:
         self.target_backlog = target_backlog(capacity_bps, target_delay_ns)
 
         self.backlog = 0
-        self._fifo: deque[Packet] = deque()  # the head is in service
+        self._fifo: deque[tuple[int, int, int]] = deque()  # (departs_at, flow_id, size)
+        self._free_at = 0  # when the last admitted frame finishes serializing
         self._serialize_ns: dict[int, int] = {}  # frame size -> serialization time
 
     def queue_delay(self) -> int:
@@ -129,12 +130,15 @@ class AqmLink:
         return (delay - self.target_delay_ns) / (self.ramp_ceiling_ns - self.target_delay_ns)
 
     def enqueue(self, packet: Packet) -> str:
-        """Admit, mark, or drop a packet; returns the disposition."""
+        """Admit, mark, or drop a packet; returns the disposition.  Departures
+        before now are retired first: a frame that finishes serializing at this
+        very nanosecond still counts as queued for this arrival."""
         if not 0 < packet.size <= self.max_frame:
             raise ValueError(f"packet size must be in (0, {self.max_frame}] B, got {packet.size}")
         if packet.ce_marked and not packet.ecn_capable:
             raise ValueError("ce_marked requires ecn_capable")
         now = self.engine.now
+        self.retire(now - 1)
         if self.backlog + packet.size > self.buffer_limit:
             return self._drop(now)
         if self.policy != "drop-tail":  # draws on every enqueue, signal or not
@@ -152,34 +156,27 @@ class AqmLink:
         self._admit(now, packet)
         return QUEUED
 
+    def retire(self, through: int) -> None:
+        """Account every departure due at or before `through`, each stamped with its own time."""
+        fifo, recorder = self._fifo, self.engine.recorder
+        while fifo and fifo[0][0] <= through:
+            departs, flow_id, size = fifo.popleft()
+            self.backlog -= size
+            recorder.backlog(departs, self.backlog)
+            recorder.departure(departs, flow_id, size)
+
     def _admit(self, now: int, packet: Packet) -> None:
-        self.backlog += packet.size
+        size = packet.size
+        self.backlog += size
         self.engine.recorder.backlog(now, self.backlog)
-        self._fifo.append(packet)
-        if len(self._fifo) == 1:
-            self._start_service(now)
+        if size not in self._serialize_ns:
+            self._serialize_ns[size] = transmission_time_ns(size * 8, self.capacity_bps)
+        self._free_at = departs = max(now, self._free_at) + self._serialize_ns[size]
+        self._fifo.append((departs, packet.flow_id, size))  # the packet is final, CE mark and all
+        self.engine.schedule(
+            departs + self.prop_one_way_ns, partial(self.deliver, packet), tag="link.deliver"
+        )
 
     def _drop(self, now: int) -> str:
         self.engine.recorder.drop(now)
         return DROPPED
-
-    def _start_service(self, now: int) -> None:
-        size = self._fifo[0].size
-        if size not in self._serialize_ns:
-            self._serialize_ns[size] = transmission_time_ns(size * 8, self.capacity_bps)
-        self.engine.schedule(now + self._serialize_ns[size], self._depart, tag="link.depart")
-
-    def _depart(self) -> None:
-        now = self.engine.now
-        packet = self._fifo.popleft()
-        self.backlog -= packet.size
-        recorder = self.engine.recorder
-        recorder.backlog(now, self.backlog)
-        recorder.departure(now, packet.flow_id, packet.size)
-        self.engine.schedule(
-            now + self.prop_one_way_ns,
-            partial(self.deliver, packet),
-            tag="link.deliver",
-        )
-        if self._fifo:
-            self._start_service(now)

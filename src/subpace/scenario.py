@@ -153,13 +153,13 @@ class Simulation:
             )
 
     def run(self, until: int | None = None) -> "Simulation":
-        """Advance to `until`, by default the duration; the first call starts the
-        flows at t = 0, so a recorder installed after construction sees them."""
+        """Advance to `until` (default: the duration) and retire departures up to it;
+        the first call starts the flows at t = 0, so a recorder added after `__init__` sees them."""
         if not self._started:
             self._started = True
             for sender in self.senders:
                 sender.app_write(BULK_BYTES)
-        self.engine.run_until(self.cfg.duration if until is None else until)
+        self.link.retire(self.engine.run_until(self.cfg.duration if until is None else until))
         return self
 
     # -- measurement ----------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+from functools import partial
+from itertools import accumulate
 
 import pytest
 from conftest import log_recorder
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from subpace.engine import MS, SEC, Engine
+from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import (
     DROPPED, MARKED, QUEUED, AqmLink, Packet, link_problem, target_backlog,
 )
@@ -37,6 +39,7 @@ def test_serialization_time_oracle():
     log = log_recorder(engine)
     link.enqueue(frame())
     engine.run_until(10 * MS)
+    link.retire(engine.now)
     assert log.of("departure")[0][0] == 303_600
 
 
@@ -55,7 +58,8 @@ def test_below_target_queued_unmarked():
     delivered = []
     link = make_link(engine, delivered)
     assert link.enqueue(frame()) == QUEUED
-    assert not link._fifo or not any(p.ce_marked for p in link._fifo)
+    engine.run_until(10 * MS)
+    assert delivered and not any(p.ce_marked for p in delivered)
 
 
 def test_at_ceiling_ecn_packet_marked():
@@ -105,6 +109,7 @@ def test_work_conservation_no_idle_gap():
     link.enqueue(frame())
     link.enqueue(frame(seq=1460))
     engine.run_until(10 * MS)
+    link.retire(engine.now)
     first, second = log.of("departure")[0][0], log.of("departure")[1][0]
     assert second - first == 303_600  # back to back, link never idle
 
@@ -176,6 +181,7 @@ def test_byte_conservation(sizes, seed):
             dropped.append(size)
         offset += size
     engine.run_until(1_000 * MS)
+    link.retire(engine.now)
     steps = [backlog for _, backlog in log.of("backlog")]
     enqueued = sum(max(0, b - a) for a, b in zip([0] + steps, steps))  # each admit is a rise
     departed = sum(size for _, _, size in log.of("departure"))
@@ -196,7 +202,7 @@ def test_byte_conservation(sizes, seed):
 @example(16 * SEC + 1, 0, 0)
 @example(16 * SEC // 3, 1, 0)
 def test_signal_probability_is_zero_exactly_up_to_the_target_backlog(capacity, target, anywhere):
-    buffer_limit = target * capacity // (8 * SEC) + 2_000
+    buffer_limit = target_backlog(capacity, target) + 2_000
     link = make_link(Engine(), [], capacity=capacity, buffer_limit=buffer_limit,
                      target=target, ceiling=target + MS)
     edge = link.target_backlog
@@ -234,3 +240,83 @@ def test_enqueues_below_the_target_draw_the_aqm_stream_once_each(policy, seed, n
     for _ in range(n):
         reference.random()
     assert link.rng.getstate() == reference.getstate()
+
+
+class EventLink(AqmLink):
+    """Reference for `AqmLink`: the event-driven link, whose `link.depart` event
+    retires each frame when it finishes serializing."""
+
+    def retire(self, through):
+        pass
+
+    def _admit(self, now, packet):
+        self.backlog += packet.size
+        self.engine.recorder.backlog(now, self.backlog)
+        self._fifo.append(packet)
+        if len(self._fifo) == 1:
+            self._start_service(now)
+
+    def _start_service(self, now):
+        size = self._fifo[0].size
+        if size not in self._serialize_ns:
+            self._serialize_ns[size] = transmission_time_ns(size * 8, self.capacity_bps)
+        self.engine.schedule(now + self._serialize_ns[size], self._depart, tag="link.depart")
+
+    def _depart(self):
+        now = self.engine.now
+        packet = self._fifo.popleft()
+        self.backlog -= packet.size
+        recorder = self.engine.recorder
+        recorder.backlog(now, self.backlog)
+        recorder.departure(now, packet.flow_id, packet.size)
+        self.engine.schedule(now + self.prop_one_way_ns, partial(self.deliver, packet),
+                             tag="link.deliver")
+        if self._fifo:
+            self._start_service(now)
+
+
+def run_arrival_plan(link_cls, policy, seed, plan):
+    """Dispositions, recorder rows and deliveries (time, seq, ce_marked) of one link
+    fed `plan`, a list of (gap before the arrival in ns, frame size, ecn_capable)."""
+    engine = Engine(seed)
+    delivered = []
+    link = link_cls(engine, capacity_bps=40_000_000, buffer_limit=4_000, policy=policy,
+                    target_delay_ns=MS // 4, ramp_ceiling_ns=MS // 2, prop_rtt_ns=MS,
+                    max_frame=1518,
+                    deliver=lambda p: delivered.append((engine.now, p.seq_bytes, p.ce_marked)))
+    log = log_recorder(engine)
+    dispositions, now = [], 0
+    for i, (gap, size, ecn) in enumerate(plan):
+        now += gap
+        packet = Packet(flow_id=i % 3, seq_bytes=i, size=size, ecn_capable=ecn)
+        engine.schedule(now, lambda p=packet: dispositions.append(link.enqueue(p)))
+    engine.run_until(now + SEC)
+    link.retire(engine.now)
+    return dispositions, log.rows, delivered
+
+
+@pytest.mark.parametrize("policy", ["drop-tail", "red-drop", "ramp-mark"])
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**31),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=300_000),
+                          st.sampled_from([64, 400, 900, 1518]), st.booleans()),
+                min_size=1, max_size=60))
+def test_departure_free_link_matches_the_event_driven_link(policy, seed, plan):
+    reference = run_arrival_plan(EventLink, policy, seed, plan)
+    arrivals = set(accumulate(gap for gap, _, _ in plan))
+    departures = {row[1] for row in reference[1] if row[0] == "departure"}
+    assume(not arrivals & departures)  # no arrival lands on a departure time
+    assert run_arrival_plan(AqmLink, policy, seed, plan) == reference
+
+
+def test_a_frame_departing_at_the_arrival_nanosecond_still_counts_as_queued():
+    # The first of three 1518 B frames admitted at t = 0 departs at 303,600 ns.
+    for arrival, disposition in ((303_600, DROPPED), (303_601, QUEUED)):
+        engine = Engine()
+        link = make_link(engine, [], policy="drop-tail", buffer_limit=6_000, target=MS,
+                         ceiling=2 * MS)
+        for i in range(3):
+            assert link.enqueue(frame(seq=i * 1460)) == QUEUED
+        engine.run_until(arrival)
+        assert link.enqueue(frame(seq=3 * 1460)) == disposition
+        assert link.backlog == 4554  # three frames, or two plus the new one
