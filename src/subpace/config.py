@@ -37,12 +37,21 @@ def _parse_with_units(field_name: str, raw: str, units: dict[str, int]) -> int:
             number, scale = text[: -len(suffix)].strip(), units[suffix]
             break
     try:
+        return int(number) * scale
+    except ValueError:  # not integer text; a float bounds it, a Fraction keeps it exact
+        pass
+    try:
         value = float(number) * scale
     except ValueError:
         raise ConfigError(field_name, f"cannot parse {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(field_name, f"must be a finite number, got {raw!r}")
-    return round(value)
+    from fractions import Fraction  # here, so integer text never imports it
+
+    exact = Fraction(number) * scale  # 1.1 ms is exactly 1,100,000 ns
+    if exact.denominator != 1:
+        raise ConfigError(field_name, f"must be a whole number of its base unit, got {raw!r}")
+    return int(exact)
 
 
 def parse_time(field_name: str, raw: str) -> int:

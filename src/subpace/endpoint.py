@@ -414,7 +414,7 @@ class TcpReceiver:
 
         if packet.seq_bytes == self.rcv_nxt:
             self.rcv_nxt += payload
-            filled_hole = self._absorb_buffered()
+            filled_hole = self._absorb_buffered() if self._ooo else False
             self.pending_segments += 1
             if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()

@@ -102,14 +102,15 @@ class Timer(ScheduledEvent):
 class Recorder:
     """What the link and senders observe, stamped with its time; this base ignores it.
 
-    `backlog`: from then on the queue holds that many bytes.  `departure`: a
-    frame left the link; the link reports it when it retires it.  `drop`,
+    `backlog`: a frame was admitted, and from then on the queue holds that many
+    bytes.  `departure`: a frame left the link, and from then on the queue
+    holds `backlog` bytes; the link reports it when it retires it.  `drop`,
     `mark`: an arriving frame was dropped or CE-marked.  `rto`: a
     retransmission timer fired with data in flight.
     """
 
     def backlog(self, now: int, backlog: int) -> None: ...
-    def departure(self, now: int, flow_id: int, size: int) -> None: ...
+    def departure(self, now: int, flow_id: int, size: int, backlog: int) -> None: ...
     def drop(self, now: int) -> None: ...
     def mark(self, now: int) -> None: ...
     def rto(self, now: int, flow_id: int) -> None: ...

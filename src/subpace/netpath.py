@@ -3,9 +3,10 @@
 The queue is measured in bytes; queuing delay is recomputed exactly from the
 backlog as backlog*8/capacity.  The AQM decides drop/mark at enqueue time with
 probability rising linearly from the target delay to the ramp ceiling.  Each
-departure is fixed at admission (Lindley's recursion), so the backlog falls when
-`retire` accounts it, not by an event.  Each direction takes half the round-trip
-propagation delay, `AqmLink.prop_one_way_ns`; the signal-free return path reads it too.
+departure is fixed at admission (Lindley's recursion on exact finish times,
+each rounded half up), so the backlog falls when `retire` accounts it, not by
+an event.  The forward path takes `AqmLink.prop_one_way_ns`, half the
+round-trip propagation delay rounded down; the signal-free return path, the rest.
 """
 
 from collections import deque
@@ -76,8 +77,8 @@ def link_problem(
 class AqmLink:
     """FIFO byte queue drained at a fixed bit rate, governed by an AQM policy.
 
-    `deliver(packet)` is called one forward propagation delay after each
-    departure, which is fixed at admission.  Backlog counts every queued byte
+    `deliver[flow_id](packet)` is called one forward propagation delay after
+    each departure, which is fixed at admission.  Backlog counts every queued byte
     including the packet in service; `retire` lowers it as departures fall due.
     """
 
@@ -107,14 +108,17 @@ class AqmLink:
         self.ramp_ceiling_ns = ramp_ceiling_ns
         self.prop_one_way_ns = prop_rtt_ns // 2
         self.max_frame = max_frame
-        self.deliver = deliver
+        self.deliver = deliver  # one callable per flow id
         self.rng = engine.stream("aqm/0")
         self.target_backlog = target_backlog(capacity_bps, target_delay_ns)
 
         self.backlog = 0
         self._fifo: deque[tuple[int, int, int]] = deque()  # (departs_at, flow_id, size)
-        self._free_at = 0  # when the last admitted frame finishes serializing
-        self._serialize_ns: dict[int, int] = {}  # frame size -> serialization time
+        # The last admitted frame finishes serializing exactly _ahead/(2C) ns after
+        # _free_at, its rounded finish; so -C <= _ahead < C.
+        self._free_at = self._ahead = 0
+        self._serialize: dict[int, tuple[int, int]] = {}  # frame size -> divmod(2*bits*1e9, 2C)
+        self._ramp: dict[int, float] = {}  # backlog above the target -> signal_probability()
 
     def queue_delay(self) -> int:
         """Current queuing delay in ns, recomputed exactly from the backlog."""
@@ -133,49 +137,56 @@ class AqmLink:
         """Admit, mark, or drop a packet; returns the disposition.  Departures
         before now are retired first: a frame that finishes serializing at this
         very nanosecond still counts as queued for this arrival."""
-        if not 0 < packet.size <= self.max_frame:
-            raise ValueError(f"packet size must be in (0, {self.max_frame}] B, got {packet.size}")
+        size = packet.size
+        if not 0 < size <= self.max_frame:
+            raise ValueError(f"packet size must be in (0, {self.max_frame}] B, got {size}")
         if packet.ce_marked and not packet.ecn_capable:
             raise ValueError("ce_marked requires ecn_capable")
-        now = self.engine.now
-        self.retire(now - 1)
-        if self.backlog + packet.size > self.buffer_limit:
+        now, fifo = self.engine.now, self._fifo
+        if fifo and fifo[0][0] < now:
+            self.retire(now - 1)
+        backlog = self.backlog
+        if backlog + size > self.buffer_limit:
             return self._drop(now)
+        disposition = QUEUED
         if self.policy != "drop-tail":  # draws on every enqueue, signal or not
-            prob = self.signal_probability() if self.backlog > self.target_backlog else 0.0
+            prob = 0.0
+            if backlog > self.target_backlog:
+                if backlog not in self._ramp:
+                    self._ramp[backlog] = self.signal_probability()
+                prob = self._ramp[backlog]
             if self.rng.random() < prob:
-                if self.policy == "red-drop":
+                # red-drop drops; ramp-mark signals via CE when possible, else drops.
+                if self.policy == "red-drop" or not packet.ecn_capable:
                     return self._drop(now)
-                # ramp-mark: signal via CE when possible, fall back to drop.
-                if packet.ecn_capable:
-                    packet.ce_marked = True
-                    self.engine.recorder.mark(now)
-                    self._admit(now, packet)
-                    return MARKED
-                return self._drop(now)
-        self._admit(now, packet)
-        return QUEUED
+                packet.ce_marked = True
+                self.engine.recorder.mark(now)
+                disposition = MARKED
+        self.backlog = backlog = backlog + size
+        self.engine.recorder.backlog(now, backlog)
+        free_at, ahead = self._free_at, self._ahead
+        if free_at < now or free_at == now and ahead <= 0:  # idle by now: service starts now
+            free_at, ahead = now, 0
+        if size not in self._serialize:
+            self._serialize[size] = divmod(16 * NS_PER_SEC * size, 2 * self.capacity_bps)
+        whole, part = self._serialize[size]
+        ahead += part
+        if ahead >= self.capacity_bps:  # the exact finish is past the half: round up
+            whole, ahead = whole + 1, ahead - 2 * self.capacity_bps
+        departs = free_at + whole
+        self._free_at, self._ahead = departs, ahead
+        fifo.append((departs, packet.flow_id, size))  # the packet is final, CE mark and all
+        self.engine.schedule(departs + self.prop_one_way_ns,
+                             partial(self.deliver[packet.flow_id], packet), tag="link.deliver")
+        return disposition
 
     def retire(self, through: int) -> None:
         """Account every departure due at or before `through`, each stamped with its own time."""
-        fifo, recorder = self._fifo, self.engine.recorder
+        fifo, departure = self._fifo, self.engine.recorder.departure
         while fifo and fifo[0][0] <= through:
             departs, flow_id, size = fifo.popleft()
             self.backlog -= size
-            recorder.backlog(departs, self.backlog)
-            recorder.departure(departs, flow_id, size)
-
-    def _admit(self, now: int, packet: Packet) -> None:
-        size = packet.size
-        self.backlog += size
-        self.engine.recorder.backlog(now, self.backlog)
-        if size not in self._serialize_ns:
-            self._serialize_ns[size] = transmission_time_ns(size * 8, self.capacity_bps)
-        self._free_at = departs = max(now, self._free_at) + self._serialize_ns[size]
-        self._fifo.append((departs, packet.flow_id, size))  # the packet is final, CE mark and all
-        self.engine.schedule(
-            departs + self.prop_one_way_ns, partial(self.deliver, packet), tag="link.deliver"
-        )
+            departure(departs, flow_id, size, self.backlog)
 
     def _drop(self, now: int) -> str:
         self.engine.recorder.drop(now)

@@ -1,13 +1,14 @@
 """Wire a scenario into a runnable simulation and measure the outcome.
 
 A simulation owns one engine, one bottleneck link, and n sender/receiver
-pairs doing bulk transfers.  ACKs return over a signal-free path with the
-link's one-way delay; the return path can be black-holed mid-run to study
+pairs doing bulk transfers.  ACKs return over a signal-free path, the rest
+of the round-trip propagation delay; it can be black-holed mid-run to study
 timer behaviour under total loss of feedback.  Metrics are computed over
 [warmup, duration] and are deterministic for a fixed (config, seed) pair.
 """
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -15,7 +16,7 @@ from .analysis import jain_fairness
 from .config import ScenarioConfig, parse_field_value, with_value
 from .endpoint import DEFAULT_TUNING, Ack, TcpReceiver, TcpSender, Tuning
 from .engine import NS_PER_SEC, Engine, Recorder, transmission_time_ns
-from .netpath import AqmLink, Packet
+from .netpath import AqmLink
 
 BULK_BYTES = 1 << 40  # effectively unbounded for desk-scale runs
 
@@ -41,25 +42,29 @@ class Meter(Recorder):
 
     Departures, drops, marks and RTOs count when start < t <= end.  The queue
     is a {backlog_bytes: ns} histogram opened by the backlog in force at
-    `start`; steps at or after `end` are ignored.
+    `start`; steps at or after `end`, a departure's included, are ignored.
     """
 
     def __init__(self, start: int, end: int, n_flows: int):
         self.start, self.end = start, end
         self.flow_bytes = [0] * n_flows
         self.packets = self.drops = self.marks = self.rtos = 0
-        self.backlog_ns: dict[int, int] = {}
+        self.backlog_ns: dict[int, int] = defaultdict(int)
         self._step_t, self._step_backlog = start, 0  # backlog in force since _step_t
 
     def backlog(self, now: int, backlog: int) -> None:
         if now < self.end:
             if now > self._step_t:
-                held = self._step_backlog
-                self.backlog_ns[held] = self.backlog_ns.get(held, 0) + now - self._step_t
+                self.backlog_ns[self._step_backlog] += now - self._step_t
                 self._step_t = now
             self._step_backlog = backlog
 
-    def departure(self, now: int, flow_id: int, size: int) -> None:
+    def departure(self, now: int, flow_id: int, size: int, backlog: int) -> None:
+        if now < self.end:  # the step, as `backlog` takes it, without a second call
+            if now > self._step_t:
+                self.backlog_ns[self._step_backlog] += now - self._step_t
+                self._step_t = now
+            self._step_backlog = backlog
         if self.start < now <= self.end:
             self.flow_bytes[flow_id] += size
             self.packets += 1
@@ -104,6 +109,16 @@ class Simulation:
         self.ack_blackhole = False
         self._started = False
 
+        self.receivers = [
+            TcpReceiver(
+                self.engine,
+                flow_id=i,
+                frame_overhead=cfg.frame_overhead,
+                send_ack=self._return_ack,
+                delayed_acks=cfg.delayed_acks,
+            )
+            for i in range(cfg.n_flows)
+        ]
         self.link = AqmLink(
             self.engine,
             capacity_bps=cfg.capacity,
@@ -113,8 +128,9 @@ class Simulation:
             ramp_ceiling_ns=cfg.aqm_ceiling,
             prop_rtt_ns=cfg.base_rtt,
             max_frame=cfg.frame_size,
-            deliver=self._deliver_segment,
+            deliver=[receiver.on_segment for receiver in self.receivers],
         )
+        self.ack_delay_ns = cfg.base_rtt - self.link.prop_one_way_ns  # the rest of the round trip
         self.senders = [
             TcpSender(
                 self.engine,
@@ -130,24 +146,11 @@ class Simulation:
             )
             for i in range(cfg.n_flows)
         ]
-        self.receivers = [
-            TcpReceiver(
-                self.engine,
-                flow_id=i,
-                frame_overhead=cfg.frame_overhead,
-                send_ack=self._return_ack,
-                delayed_acks=cfg.delayed_acks,
-            )
-            for i in range(cfg.n_flows)
-        ]
-
-    def _deliver_segment(self, packet: Packet) -> None:
-        self.receivers[packet.flow_id].on_segment(packet)
 
     def _return_ack(self, ack: Ack) -> None:
         if not self.ack_blackhole:
             self.engine.schedule(
-                self.engine.now + self.link.prop_one_way_ns,
+                self.engine.now + self.ack_delay_ns,
                 partial(self.senders[ack.flow_id].on_ack, ack),
                 tag="ack.deliver",
             )

@@ -21,9 +21,9 @@ class LoggingRecorder(Recorder):
         self.rows.append(("backlog", now, backlog))
         self.inner.backlog(now, backlog)
 
-    def departure(self, now, flow_id, size):
-        self.rows.append(("departure", now, flow_id, size))
-        self.inner.departure(now, flow_id, size)
+    def departure(self, now, flow_id, size, backlog):
+        self.rows.append(("departure", now, flow_id, size, backlog))
+        self.inner.departure(now, flow_id, size, backlog)
 
     def drop(self, now):
         self.rows.append(("drop", now))

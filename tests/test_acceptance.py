@@ -245,7 +245,7 @@ def test_acceptance_8_non_ecn_red_drop(reddrop_run):
     # Shuffling: in most one-second slices some flow runs far below its share
     # while others progress (timeout lulls versus catch-up bursts).
     bins = defaultdict(lambda: [0] * cfg.n_flows)
-    for t, flow_id, size in log.of("departure"):
+    for t, flow_id, size, _ in log.of("departure"):
         if t > cfg.warmup:
             bins[t // SEC][flow_id] += size
     starved = 0

@@ -16,7 +16,10 @@ from subpace.config import (
     ConfigError,
     ScenarioConfig,
     load_scenario,
+    parse_rate,
     parse_scenario_text,
+    parse_size,
+    parse_time,
     with_value,
 )
 from subpace.endpoint import ProtocolError, TcpSender
@@ -128,7 +131,7 @@ def test_link_checks_give_the_same_message_from_config_and_link():
     link_args = dict(
         capacity_bps=cfg.capacity, buffer_limit=cfg.buffer_limit, policy=cfg.aqm_policy,
         target_delay_ns=cfg.aqm_target, ramp_ceiling_ns=cfg.aqm_ceiling,
-        prop_rtt_ns=cfg.base_rtt, max_frame=cfg.frame_size, deliver=lambda p: None,
+        prop_rtt_ns=cfg.base_rtt, max_frame=cfg.frame_size, deliver=[lambda p: None],
     )
     link_arg = {"aqm_ceiling": "ramp_ceiling_ns", "aqm_policy": "policy",
                 "capacity": "capacity_bps", "buffer_limit": "buffer_limit",
@@ -197,6 +200,29 @@ def test_non_finite_and_overflowing_numbers_name_the_field():
             with pytest.raises(ConfigError) as err:
                 parse_scenario_text(SMALL.replace(original, mutated))
             assert err.value.field_name == field_name
+
+
+@pytest.mark.parametrize("parse, exact, fractional", [
+    (parse_time, {"1.1 ms": 1_100_000, "0.1 s": 100_000_000, "2e3 us": 2_000_000}, "1.5 ns"),
+    (parse_rate, {"2.5 gbps": 2_500_000_000, "1e1 mbps": 10_000_000}, "40.0000001 mbps"),
+    (parse_size, {"1.5 KB": 1_500, "0.2 MB": 200_000}, "1459.6 B"),
+], ids=["time", "rate", "size"])
+def test_decimals_parse_exactly_and_fractional_base_units_name_the_field(parse, exact, fractional):
+    for raw, value in exact.items():
+        assert parse("key", raw) == value
+    with pytest.raises(ConfigError) as err:
+        parse("key", fractional)
+    assert err.value.field_name == "key"
+    assert repr(fractional) in str(err.value)
+
+
+def test_integer_values_parse_without_importing_fractions():
+    code = ("import sys; from subpace.config import load_scenario; "
+            "load_scenario(sys.argv[1]); print('fractions' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(subpace.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(SCENARIO_DIR / "broadband12.txt")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -405,7 +431,7 @@ def test_meter_matches_sorting_reference(log, read_at):
             assert meter.queue_delay_stats(capacity) == reference_queue_delay_stats(
                 steps[:i], capacity, start, end)
         meter.backlog(t, backlog)
-        meter.departure(t, 0, backlog)
+        meter.departure(t, 0, backlog, backlog)
         meter.drop(t)
         meter.mark(t)
         meter.rto(t, 0)
@@ -415,6 +441,24 @@ def test_meter_matches_sorting_reference(log, read_at):
     inside = [(t, b) for t, b in steps if start < t <= end]
     assert meter.drops == meter.marks == meter.rtos == meter.packets == len(inside)
     assert meter.flow_bytes == [sum(b for _, b in inside)]
+
+
+def test_meter_takes_a_departures_step_before_end_and_counts_it_after_start():
+    capacity = 40_000_000
+    meter = Meter(start=100, end=200, n_flows=1)
+    meter.departure(100, 0, 1518, 3_000)  # at start: the step applies, the frame does not count
+    assert (meter.packets, meter.flow_bytes) == (0, [0])
+    assert (meter._step_t, meter._step_backlog) == (100, 3_000)
+    meter.departure(200, 0, 1518, 0)  # at end: the frame counts, the step is ignored
+    assert (meter.packets, meter.flow_bytes) == (1, [1518])
+    assert (meter._step_t, meter._step_backlog) == (100, 3_000)
+    delay = transmission_time_ns(3_000 * 8, capacity)
+    assert meter.queue_delay_stats(capacity) == (delay, delay)
+
+
+def test_an_odd_base_rtt_splits_into_two_legs_that_add_up_to_it():
+    sim = Simulation(small_config(base_rtt=1_000_001))
+    assert (sim.link.prop_one_way_ns, sim.ack_delay_ns) == (500_000, 500_001)
 
 
 def test_memory_does_not_grow_with_run_length():
@@ -506,6 +550,13 @@ def test_cli_non_finite_number_reports_field_and_fails(tmp_path, capsys):
     scenario.write_text(SMALL.replace("capacity = 10 mbps", "capacity = inf"))
     assert cli.main(["run", str(scenario)]) == 1
     assert "capacity" in capsys.readouterr().err
+
+
+def test_cli_fractional_base_unit_reports_field_and_fails(tmp_path, capsys):
+    scenario = tmp_path / "fractional.txt"
+    scenario.write_text(SMALL.replace("smss = 1460 B", "smss = 1459.6 B"))
+    assert cli.main(["run", str(scenario)]) == 1
+    assert "smss" in capsys.readouterr().err
 
 
 def test_cli_bad_config_reports_field_and_fails(tmp_path, capsys):
