@@ -24,6 +24,11 @@ class ConfigError(ValueError):
         return ConfigError, (self.field_name, self.message)
 
 
+# Upper bounds that keep a run finite on a desk: each flow costs a sender and a
+# receiver, and the event count grows with the duration.
+MAX_FLOWS = 10_000
+MAX_DURATION = 86_400 * SEC  # one day
+
 _TIME_UNITS = {"ns": 1, "us": US, "ms": MS, "s": SEC}
 _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000}
 _SIZE_UNITS = {"b": 1, "kb": 1_000, "mb": 1_000_000}
@@ -134,6 +139,11 @@ class ScenarioConfig:
         for name in _POSITIVE:
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
+        if self.n_flows > MAX_FLOWS:
+            raise ConfigError("n_flows", f"must be at most {MAX_FLOWS}, got {self.n_flows}")
+        if self.duration > MAX_DURATION:
+            raise ConfigError("duration", f"must be at most one day ({MAX_DURATION} ns), "
+                                          f"got {self.duration} ns")
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
         problem = sender_problem(self.sender_mode, self.cc_variant) or link_problem(

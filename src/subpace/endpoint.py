@@ -77,6 +77,16 @@ class Ack:
 
 
 class TcpSender:
+    # Slotted: 31 attributes are past the 30 keys a CPython 3.11 instance dict
+    # shares with its class, which would leave every read on the hint path.
+    __slots__ = (
+        "engine", "flow_id", "mss", "frame_overhead", "mode", "cc_variant", "ecn_capable",
+        "w_min", "transmit", "tuning", "window", "slow_start", "snd_una", "snd_nxt", "snd_q",
+        "unreclaimed", "srtt", "rttvar", "rto_backoff", "dup_acks", "recovery_until",
+        "ece_gate_until", "segments", "retx_head", "_ca_acked", "dctcp_alpha", "_dctcp_acked",
+        "_dctcp_marked", "_dctcp_window_end", "pacer", "rto_timer",
+    )
+
     def __init__(
         self,
         engine: Engine,
@@ -157,11 +167,15 @@ class TcpSender:
         return self.srtt or INITIAL_RTT
 
     def current_rto(self) -> int:
+        # Plain comparisons, not min/max: this runs on every send and ACK.
         if self.srtt is None:
             base = self.tuning.rto_initial
         else:
-            base = self.srtt + max(1, 4 * self.rttvar)
-        return min(RTO_MAX, max(self.tuning.rto_min, base) * self.rto_backoff)
+            spread = 4 * self.rttvar
+            base = self.srtt + (spread if spread > 1 else 1)
+        rto_min = self.tuning.rto_min
+        rto = (base if base > rto_min else rto_min) * self.rto_backoff
+        return rto if rto < RTO_MAX else RTO_MAX
 
     def _next_segment(self) -> tuple[bool, int]:
         """Pending retransmission first, then new data; returns (retx, payload)."""
@@ -219,8 +233,9 @@ class TcpSender:
         window accounting.
         """
         seq = self.segments[0].seq_bytes if retx else self.snd_nxt
+        # Positional, as ce_marked=False, is_retransmission=retx, sent_at=now.
         packet = Packet(self.flow_id, seq, payload + self.frame_overhead, self.ecn_capable,
-                        is_retransmission=retx, sent_at=now)
+                        False, retx, now)
         if retx:
             self.segments[0] = packet
             self.retx_head = False
@@ -249,7 +264,8 @@ class TcpSender:
             self._take_rtt_sample(now, ack.ack_bytes)
             self.snd_una = ack.ack_bytes
             self.window += advance
-            self.unreclaimed = max(0, self.unreclaimed - advance)
+            unreclaimed = self.unreclaimed - advance
+            self.unreclaimed = unreclaimed if unreclaimed > 0 else 0
             self.rto_backoff = 1
             self.dup_acks = 0
 
@@ -302,7 +318,7 @@ class TcpSender:
         if self.snd_una < self.recovery_until or now < self.ece_gate_until:
             return  # no growth while a congestion response is settling
         if self.slow_start:
-            self.window += min(advance, self.mss)
+            self.window += advance if advance < self.mss else self.mss
             return
         # Byte-counted additive increase, so the growth rate per RTT does not
         # depend on how many segments each ACK covers.  One MSS per window per
@@ -311,16 +327,20 @@ class TcpSender:
         # the quarter-MSS lower bound keeps recovery from the floor additive
         # rather than proportional (a crushed flow must be able to climb back
         # against ambient marking).
+        mss = self.mss
         self._ca_acked += advance
         while True:
             conceptual = self.conceptual_window
             if conceptual <= 0:
                 break
-            threshold = max(conceptual, self.mss)
+            threshold = conceptual if conceptual > mss else mss
             if self._ca_acked < threshold:
                 break
             self._ca_acked -= threshold
-            self.window += min(self.mss, max(conceptual // 4, self.mss // 4))
+            step, least = conceptual // 4, mss // 4
+            if step < least:
+                step = least
+            self.window += step if step < mss else mss
 
     def _apply_conceptual(self, new_conceptual: int) -> None:
         self.window -= self.conceptual_window - new_conceptual

@@ -177,7 +177,7 @@ class AqmLink:
         self._free_at, self._ahead = departs, ahead
         fifo.append((departs, packet.flow_id, size))  # the packet is final, CE mark and all
         self.engine.schedule(departs + self.prop_one_way_ns,
-                             partial(self.deliver[packet.flow_id], packet), tag="link.deliver")
+                             partial(self.deliver[packet.flow_id], packet), "link.deliver")
         return disposition
 
     def retire(self, through: int) -> None:

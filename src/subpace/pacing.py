@@ -15,7 +15,7 @@ def segment_size(mss: int, snd_q: int) -> int:
     """Next segment's payload: never smaller than needed, never above one MSS."""
     if snd_q <= 0:
         raise ValueError("segment_size requires queued data (snd_q > 0)")
-    return min(mss, snd_q)
+    return mss if snd_q > mss else snd_q  # min(mss, snd_q), without the builtin's call
 
 
 def pacing_delay(seg: int, window: int, rtt: int) -> int:
@@ -86,7 +86,7 @@ class Pacer:
         if target != self.timer.deadline:
             # An entitlement already earned fires through the queue at `now`,
             # so delivery order stays deterministic.
-            self.timer.set(max(target, now))
+            self.timer.set(target if target > now else now)
 
     def _fire(self) -> None:
         self.on_ready(self.engine.now)

@@ -149,11 +149,8 @@ class Simulation:
 
     def _return_ack(self, ack: Ack) -> None:
         if not self.ack_blackhole:
-            self.engine.schedule(
-                self.engine.now + self.ack_delay_ns,
-                partial(self.senders[ack.flow_id].on_ack, ack),
-                tag="ack.deliver",
-            )
+            self.engine.schedule(self.engine.now + self.ack_delay_ns,
+                                 partial(self.senders[ack.flow_id].on_ack, ack), "ack.deliver")
 
     def run(self, until: int | None = None) -> "Simulation":
         """Advance to `until` (default: the duration) and retire departures up to it;

@@ -14,7 +14,7 @@ from conftest import log_recorder, log_sends
 
 from subpace import cli
 from subpace.config import ScenarioConfig, load_scenario
-from subpace.endpoint import RTO_MAX, Ack, Tuning
+from subpace.endpoint import RTO_MAX, Ack, TcpSender, Tuning
 from subpace.engine import MS, SEC, Engine
 from subpace.pacing import pacing_delay
 from subpace.scenario import Simulation, render_metrics_csv, run_scenario
@@ -190,7 +190,7 @@ def test_acceptance_6_delayed_ack_pairing(submss_run, nodelack_run):
               f"back-to-back gap share {frac_on:.2f} (on) vs {frac_off:.2f} (off)")
 
 
-def test_acceptance_7_backoff_replacement():
+def test_acceptance_7_backoff_replacement(monkeypatch):
     cfg = ScenarioConfig(
         capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460,
         base_rtt=6 * MS, aqm_policy="ramp-mark", aqm_target=1 * MS,
@@ -216,14 +216,14 @@ def test_acceptance_7_backoff_replacement():
     # Path heals: the first ACK through must promptly enable the next send.
     sim.ack_blackhole = False
     ack_seen = []
-    original_on_ack = sender.on_ack
+    original_on_ack = TcpSender.on_ack
 
-    def spy(ack):
-        if not ack_seen:
+    def spy(self, ack):  # on the class: a slotted sender takes no instance attribute
+        if self is sender and not ack_seen:
             ack_seen.append(sim.engine.now)
-        original_on_ack(ack)
+        original_on_ack(self, ack)
 
-    sender.on_ack = spy
+    monkeypatch.setattr(TcpSender, "on_ack", spy)
     sends_before = len(sends)
     sim.run(24 * SEC)
     assert ack_seen, "no ACK arrived after the path was restored"

@@ -258,6 +258,40 @@ def test_package_has_no_assert_statements():
         assert asserts == [], f"{path.name}: assert on lines {asserts}"
 
 
+# The functions every packet or ACK runs.  CPython 3.11 specializes neither a
+# call to builtin min/max nor a call that passes keyword arguments, and each
+# costs several times a plain comparison or a positional call.
+PER_PACKET_FUNCTIONS = {
+    "netpath.py": ["AqmLink.enqueue", "AqmLink.retire"],
+    "scenario.py": ["Meter.backlog", "Meter.departure", "Simulation._return_ack"],
+    "endpoint.py": [
+        "TcpSender._send", "TcpSender._pump", "TcpSender._next_segment", "TcpSender.on_ack",
+        "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
+        "TcpSender._on_pacer_ready", "TcpReceiver.on_segment", "TcpReceiver._emit_ack",
+    ],
+    "pacing.py": ["Pacer.request", "Pacer.window_changed", "pacing_delay", "segment_size"],
+    "engine.py": ["Engine.schedule", "Engine.run_until", "Timer.set", "Timer._fire"],
+}
+
+
+def test_per_packet_functions_call_no_min_or_max_and_pass_no_keywords():
+    for module, names in PER_PACKET_FUNCTIONS.items():
+        path = SRC / "subpace" / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            functions.update((f"{cls.name}.{node.name}", node) for node in cls.body
+                             if isinstance(node, ast.FunctionDef))
+        for name in names:
+            assert name in functions, f"{module}: no function {name}"
+            calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)]
+            min_max = [call.lineno for call in calls
+                       if isinstance(call.func, ast.Name) and call.func.id in ("min", "max")]
+            keywords = [call.lineno for call in calls if call.keywords]
+            assert min_max == [], f"{module} {name}: builtin min/max on lines {min_max}"
+            assert keywords == [], f"{module} {name}: keyword arguments on lines {keywords}"
+
+
 OPTIMIZED_ACK_CHECK = """
 from subpace.endpoint import Ack, ProtocolError, TcpSender
 from subpace.engine import Engine

@@ -202,6 +202,36 @@ def test_non_finite_and_overflowing_numbers_name_the_field():
             assert err.value.field_name == field_name
 
 
+@pytest.mark.parametrize("line, at_bound, too_large", [
+    ("n_flows = 12", "n_flows = 10000", ["n_flows = 100000000", "n_flows = 10001"]),
+    ("duration = 60 s", "duration = 86400 s",
+     ["duration = 1e30 s", "duration = 86400000000001 ns"]),
+], ids=["n_flows", "duration"])
+def test_run_sizes_above_their_bound_name_the_field(line, at_bound, too_large):
+    text = (SCENARIO_DIR / "broadband12.txt").read_text(encoding="utf-8")
+    field_name = line.split()[0]
+    for mutated in too_large:
+        with pytest.raises(ConfigError) as err:
+            parse_scenario_text(text.replace(line, mutated))
+        assert err.value.field_name == field_name
+    parse_scenario_text(text.replace(line, at_bound))  # the bound itself is accepted
+
+
+def test_cli_run_and_sweep_reject_a_run_size_above_its_bound(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a run started with a size above its bound")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(scenario, "run_scenario", no_run)
+    huge = tmp_path / "huge.txt"
+    huge.write_text(SMALL.replace("n_flows = 4", "n_flows = 100000000"))
+    assert cli.main(["run", str(huge)]) == 1
+    assert "n_flows" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        sweep(small_config(), "duration", ["2 s", "1e30 s"])
+    assert err.value.field_name == "duration"
+
+
 @pytest.mark.parametrize("parse, exact, fractional", [
     (parse_time, {"1.1 ms": 1_100_000, "0.1 s": 100_000_000, "2e3 us": 2_000_000}, "1.5 ns"),
     (parse_rate, {"2.5 gbps": 2_500_000_000, "1e1 mbps": 10_000_000}, "40.0000001 mbps"),
@@ -454,6 +484,21 @@ def test_meter_takes_a_departures_step_before_end_and_counts_it_after_start():
     assert (meter._step_t, meter._step_backlog) == (100, 3_000)
     delay = transmission_time_ns(3_000 * 8, capacity)
     assert meter.queue_delay_stats(capacity) == (delay, delay)
+
+
+def test_per_packet_objects_stay_on_the_fast_attribute_path():
+    # CPython 3.11 shares an instance dict's keys with its class only up to 30
+    # keys (SHARED_KEYS_MAX_SIZE); an object past that reads and writes every
+    # attribute through a slower hinted lookup.  So the senders, with 31
+    # attributes, are slotted, and every other per-packet object stays below 30.
+    sim = Simulation(small_config()).run(500 * MS)
+    for sender in sim.senders:
+        assert not hasattr(sender, "__dict__")
+        assert not hasattr(sender.rto_timer, "__dict__")
+    hot = [*sim.receivers, *(sender.pacer for sender in sim.senders), sim.link, sim.meter,
+           sim.engine]
+    for obj in hot:
+        assert len(vars(obj)) < 30, f"{type(obj).__name__} holds {len(vars(obj))} attributes"
 
 
 def test_an_odd_base_rtt_splits_into_two_legs_that_add_up_to_it():
