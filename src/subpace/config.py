@@ -6,7 +6,6 @@ taken in the field's base unit (ns, bit/s, bytes).
 """
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .endpoint import sender_problem
 from .engine import MS, SEC, US
@@ -98,36 +97,43 @@ def parse_text(field_name: str, raw: str) -> str:
     return raw.strip()
 
 
-def _key(parse, positive: bool = False, **default):
-    """A scenario key: its file parser and whether it must be positive."""
-    return field(metadata={"parse": parse, "positive": positive}, **default)
+REQUIRED = ...  # the default of a key the scenario file must give
+
+# Every scenario key: its file parser, its default and whether it must be positive.
+KEYS = {
+    "capacity": (parse_rate, REQUIRED, False),  # bit/s; link_problem checks it is positive
+    "n_flows": (parse_int, REQUIRED, True),
+    "frame_size": (parse_size, REQUIRED, True),  # header-inclusive bytes on the wire
+    "smss": (parse_size, REQUIRED, True),  # payload bytes per segment
+    "base_rtt": (parse_time, REQUIRED, False),  # two-way propagation, ns; link_problem checks it
+    "aqm_policy": (parse_text, REQUIRED, False),
+    "aqm_target": (parse_time, REQUIRED, True),  # queue-delay target, ns
+    "buffer_limit": (parse_size, REQUIRED, False),  # bytes
+    "sender_mode": (parse_text, REQUIRED, False),
+    "duration": (parse_time, REQUIRED, True),  # ns
+    "aqm_ceiling": (parse_time, None, False),  # ns; None means twice aqm_target
+    "cc_variant": (parse_text, "reno-like", False),
+    "ecn": (parse_bool, True, False),
+    "delayed_acks": (parse_bool, True, False),
+    "warmup": (parse_time, None, False),  # ns; None means a quarter of duration
+    "seed": (parse_int, 1, False),
+    "w_min_fraction": (parse_float, 1.0 / 64.0, False),
+}
 
 
-@dataclass
 class ScenarioConfig:
-    """Everything needed to run one experiment; each field is one scenario key."""
+    """Everything needed to run one experiment; one attribute per entry of KEYS."""
 
-    capacity: int = _key(parse_rate)  # bits per second; link_problem checks it is positive
-    n_flows: int = _key(parse_int, positive=True)
-    frame_size: int = _key(parse_size, positive=True)  # header-inclusive bytes on the wire
-    smss: int = _key(parse_size, positive=True)  # payload bytes per segment
-    base_rtt: int = _key(parse_time)  # two-way propagation, ns; link_problem checks it is positive
-    aqm_policy: str = _key(parse_text)
-    aqm_target: int = _key(parse_time, positive=True)  # queue-delay target, ns
-    buffer_limit: int = _key(parse_size)  # bytes
-    sender_mode: str = _key(parse_text)
-    duration: int = _key(parse_time, positive=True)  # ns
-    aqm_ceiling: int | None = _key(parse_time, default=None)  # ns; None means twice aqm_target
-    cc_variant: str = _key(parse_text, default="reno-like")
-    ecn: bool = _key(parse_bool, default=True)
-    delayed_acks: bool = _key(parse_bool, default=True)
-    warmup: int | None = _key(parse_time, default=None)  # ns; None means a quarter of duration
-    seed: int = _key(parse_int, default=1)
-    w_min_fraction: float = _key(parse_float, default=1.0 / 64.0)
-    # Keys given as None, so derived here; with_value derives them again.
-    _derived: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, **values):
+        for name in values:
+            if name not in KEYS:
+                raise ConfigError(name, "unknown key")
+        for name, (_, default, _) in KEYS.items():
+            value = values.get(name, default)
+            if value is REQUIRED:
+                raise ConfigError(name, "required key missing")
+            setattr(self, name, value)
+        # Keys given as None, so derived here; with_value derives them again.
         self._derived = tuple(k for k in ("aqm_ceiling", "warmup") if getattr(self, k) is None)
         if self.aqm_ceiling is None:
             self.aqm_ceiling = 2 * self.aqm_target
@@ -135,9 +141,14 @@ class ScenarioConfig:
             self.warmup = self.duration // 4
         self.validate()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in KEYS)
+
     def validate(self) -> None:
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0:
+        for name, (_, _, positive) in KEYS.items():
+            if positive and getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
         if self.n_flows > MAX_FLOWS:
             raise ConfigError("n_flows", f"must be at most {MAX_FLOWS}, got {self.n_flows}")
@@ -166,12 +177,6 @@ class ScenarioConfig:
         return max(1, round(self.smss * self.w_min_fraction))
 
 
-_KEYS = [f for f in fields(ScenarioConfig) if f.init]
-_FIELD_PARSERS = {f.name: f.metadata["parse"] for f in _KEYS}
-_POSITIVE = [f.name for f in _KEYS if f.metadata["positive"]]
-_REQUIRED = [f.name for f in _KEYS if f.default is MISSING]
-
-
 def parse_scenario_text(text: str) -> ScenarioConfig:
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -182,14 +187,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}", f"expected `key = value`, got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(key, "unknown key")
         if key in values:
             raise ConfigError(key, "duplicate key")
-        values[key] = _FIELD_PARSERS[key](key, raw.strip())
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigError(key, "required key missing")
+        values[key] = parse_field_value(key, raw.strip())
     return ScenarioConfig(**values)
 
 
@@ -200,11 +200,12 @@ def load_scenario(path) -> ScenarioConfig:
 
 def parse_field_value(field_name: str, raw: str):
     """Parse one value the way the scenario file would; used by sweeps."""
-    if field_name not in _FIELD_PARSERS:
+    if field_name not in KEYS:
         raise ConfigError(field_name, "unknown key")
-    return _FIELD_PARSERS[field_name](field_name, raw)
+    return KEYS[field_name][0](field_name, raw)
 
 
 def with_value(cfg: ScenarioConfig, field_name: str, value) -> ScenarioConfig:
     """cfg with one key set; keys left at their default are derived again."""
-    return replace(cfg, **{**dict.fromkeys(cfg._derived), field_name: value})
+    values = {name: getattr(cfg, name) for name in KEYS}
+    return ScenarioConfig(**{**values, **dict.fromkeys(cfg._derived), field_name: value})

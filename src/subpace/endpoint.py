@@ -16,7 +16,6 @@ any ACK covering a CE-marked segment.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from .engine import MS, SEC, Engine, Timer
 from .netpath import Packet
@@ -51,29 +50,35 @@ def sender_problem(mode: str, cc_variant: str) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True)
 class Tuning:
-    """Sender constants that tests vary; defaults follow common practice."""
+    """Sender constants that tests vary; defaults follow common practice.  Read-only."""
 
-    rto_min: int = 200 * MS
-    rto_initial: int = 1 * SEC
-    growth_enabled: bool = True
+    __slots__ = ("rto_min", "rto_initial", "growth_enabled")
 
-    def __post_init__(self):
-        for name in ("rto_min", "rto_initial"):
-            value = getattr(self, name)
+    def __init__(self, rto_min: int = 200 * MS, rto_initial: int = 1 * SEC,
+                 growth_enabled: bool = True):
+        for name, value in (("rto_min", rto_min), ("rto_initial", rto_initial)):
             if not 0 < value <= RTO_MAX:
                 raise ValueError(f"{name}: must be positive and at most {RTO_MAX} ns, got {value}")
+        for name, value in zip(self.__slots__, (rto_min, rto_initial, growth_enabled)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Tuning is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 DEFAULT_TUNING = Tuning()
 
 
-@dataclass(slots=True)
 class Ack:
-    flow_id: int
-    ack_bytes: int
-    ece: bool
+    __slots__ = ("flow_id", "ack_bytes", "ece")
+
+    def __init__(self, flow_id: int, ack_bytes: int, ece: bool):
+        self.flow_id = flow_id
+        self.ack_bytes = ack_bytes
+        self.ece = ece
 
 
 class TcpSender:
@@ -363,8 +368,9 @@ class TcpSender:
             self.dctcp_alpha += DCTCP_GAIN * (fraction - self.dctcp_alpha)
             conceptual = self.conceptual_window
             if self._dctcp_marked > 0 and conceptual > 0:
-                cut = int(round(conceptual * self.dctcp_alpha / 2))
-                self._apply_conceptual(max(self.floor, conceptual - cut))
+                reduced = conceptual - round(conceptual * self.dctcp_alpha / 2)
+                floor = self.floor
+                self._apply_conceptual(reduced if reduced > floor else floor)
             self._dctcp_acked = 0
             self._dctcp_marked = 0
             self._dctcp_window_end = self.snd_nxt

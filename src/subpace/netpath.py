@@ -10,7 +10,6 @@ round-trip propagation delay rounded down; the signal-free return path, the rest
 """
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 
 from .engine import NS_PER_SEC, Engine, transmission_time_ns
@@ -22,20 +21,25 @@ MARKED = "queued+marked"
 DROPPED = "dropped"
 
 
-@dataclass(slots=True)
 class Packet:
     """One simulated segment; size is the header-inclusive frame size.
 
-    A plain record: `AqmLink.enqueue`, where packets enter the path, checks it.
+    A plain slotted record: `AqmLink.enqueue`, where packets enter the path,
+    checks it.
     """
 
-    flow_id: int
-    seq_bytes: int
-    size: int
-    ecn_capable: bool = False
-    ce_marked: bool = False
-    is_retransmission: bool = False
-    sent_at: int = 0
+    __slots__ = ("flow_id", "seq_bytes", "size", "ecn_capable", "ce_marked",
+                 "is_retransmission", "sent_at")
+
+    def __init__(self, flow_id: int, seq_bytes: int, size: int, ecn_capable: bool = False,
+                 ce_marked: bool = False, is_retransmission: bool = False, sent_at: int = 0):
+        self.flow_id = flow_id
+        self.seq_bytes = seq_bytes
+        self.size = size
+        self.ecn_capable = ecn_capable
+        self.ce_marked = ce_marked
+        self.is_retransmission = is_retransmission
+        self.sent_at = sent_at
 
 
 def target_backlog(capacity_bps: int, target_delay_ns: int) -> int:

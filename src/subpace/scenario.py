@@ -9,7 +9,6 @@ timer behaviour under total loss of feedback.  Metrics are computed over
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 
 from .analysis import jain_fairness
@@ -21,16 +20,26 @@ from .netpath import AqmLink
 BULK_BYTES = 1 << 40  # effectively unbounded for desk-scale runs
 
 
-@dataclass
 class ScenarioMetrics:
-    mean_queue_delay_ns: int
-    p95_queue_delay_ns: int
-    per_flow_throughput_bps: list[float]
-    jain_fairness: float
-    total_drops: int
-    total_marks: int
-    total_rtos: int
-    mean_pkts_per_rtt_per_flow: float
+    def __init__(self, mean_queue_delay_ns: int, p95_queue_delay_ns: int,
+                 per_flow_throughput_bps: list[float], jain_fairness: float, total_drops: int,
+                 total_marks: int, total_rtos: int, mean_pkts_per_rtt_per_flow: float):
+        self.mean_queue_delay_ns = mean_queue_delay_ns
+        self.p95_queue_delay_ns = p95_queue_delay_ns
+        self.per_flow_throughput_bps = per_flow_throughput_bps
+        self.jain_fairness = jain_fairness
+        self.total_drops = total_drops
+        self.total_marks = total_marks
+        self.total_rtos = total_rtos
+        self.mean_pkts_per_rtt_per_flow = mean_pkts_per_rtt_per_flow
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"ScenarioMetrics({vars(self)})"
 
     @property
     def total_throughput_bps(self) -> float:

@@ -1,3 +1,4 @@
+from subpace.config import KEYS, ScenarioConfig
 from subpace.engine import Recorder
 
 
@@ -56,3 +57,12 @@ def log_sends(sender) -> list[tuple[int, int, int, bool]]:
 
     sender.transmit = spy
     return sends
+
+
+def replace_keys(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """cfg with keys changed as `dataclasses.replace` would: every key copied, none derived again.
+
+    Unlike chained `with_value` calls, several keys change at once, so no
+    state in between is validated.
+    """
+    return ScenarioConfig(**{**{name: getattr(cfg, name) for name in KEYS}, **changes})

@@ -6,7 +6,6 @@ the shipped scenario files; tolerances are fixed here, not tuned per run.
 
 import statistics
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import pytest

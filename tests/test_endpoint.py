@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from conftest import log_recorder
 from hypothesis import given, settings, strategies as st
 
 from subpace.endpoint import (
+    DEFAULT_TUNING,
     INITIAL_RTT,
     RTO_MAX,
     Ack,
@@ -258,6 +260,24 @@ def test_package_has_no_assert_statements():
         assert asserts == [], f"{path.name}: assert on lines {asserts}"
 
 
+def test_package_has_no_generated_functions():
+    # Code generated at import (as `dataclasses` does) costs start-up time and
+    # shows in profiles as `<string>`, where functions of different classes
+    # share one key.
+    package = SRC / "subpace"
+    generated = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"subpace.{path.stem}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, value in vars(cls).items():
+                code = getattr(getattr(value, "fget", value), "__code__", None)
+                if code is not None and Path(code.co_filename).resolve().parent != package:
+                    generated.append(f"{cls.__qualname__}.{name} in {code.co_filename}")
+    assert generated == []
+
+
 # The functions every packet or ACK runs.  CPython 3.11 specializes neither a
 # call to builtin min/max nor a call that passes keyword arguments, and each
 # costs several times a plain comparison or a positional call.
@@ -267,7 +287,8 @@ PER_PACKET_FUNCTIONS = {
     "endpoint.py": [
         "TcpSender._send", "TcpSender._pump", "TcpSender._next_segment", "TcpSender.on_ack",
         "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
-        "TcpSender._on_pacer_ready", "TcpReceiver.on_segment", "TcpReceiver._emit_ack",
+        "TcpSender._on_pacer_ready", "TcpSender._dctcp_account", "TcpReceiver.on_segment",
+        "TcpReceiver._emit_ack",
     ],
     "pacing.py": ["Pacer.request", "Pacer.window_changed", "pacing_delay", "segment_size"],
     "engine.py": ["Engine.schedule", "Engine.run_until", "Timer.set", "Timer._fire"],
@@ -395,6 +416,21 @@ def test_tuning_rejects_timers_outside_the_rto_range(field, value):
     # be shorter than asked for.
     with pytest.raises(ValueError, match=field):
         Tuning(**{field: value})
+
+
+def test_tuning_is_read_only_and_one_instance_is_every_senders_default():
+    for tuning in (DEFAULT_TUNING, Tuning(rto_min=50 * MS)):
+        with pytest.raises(AttributeError):
+            tuning.rto_min = 1 * MS
+        with pytest.raises(AttributeError):
+            tuning.extra = True
+        with pytest.raises(AttributeError):
+            del tuning.growth_enabled
+    assert (DEFAULT_TUNING.rto_min, DEFAULT_TUNING.rto_initial) == (200 * MS, 1 * SEC)
+    assert DEFAULT_TUNING.growth_enabled is True
+    senders = [TcpSender(Engine(), flow, M, OVERHEAD, "submss", "reno-like", True, M // 64,
+                         lambda p: None) for flow in range(2)]
+    assert all(sender.tuning is DEFAULT_TUNING for sender in senders)
 
 
 # -- retransmission timeouts --------------------------------------------------

@@ -3,11 +3,10 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import log_recorder, log_sends
+from conftest import log_recorder, log_sends, replace_keys
 from hypothesis import example, given, strategies as st
 
 import subpace
@@ -22,7 +21,7 @@ from subpace.config import (
     parse_time,
     with_value,
 )
-from subpace.endpoint import ProtocolError, TcpSender
+from subpace.endpoint import Ack, ProtocolError, TcpSender
 from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
@@ -56,7 +55,7 @@ seed = 9
 
 
 def small_config(**overrides) -> ScenarioConfig:
-    return replace(parse_scenario_text(SMALL), **overrides)
+    return replace_keys(parse_scenario_text(SMALL), **overrides)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -149,7 +148,7 @@ def test_link_checks_give_the_same_message_from_config_and_link():
     ]
     for field_name, changes in cases:
         with pytest.raises(ConfigError) as config_err:
-            replace(cfg, **changes)
+            replace_keys(cfg, **changes)
         with pytest.raises(ValueError) as link_err:
             AqmLink(Engine(), **{**link_args, **{link_arg[k]: v for k, v in changes.items()}})
         assert config_err.value.field_name == field_name
@@ -180,7 +179,7 @@ def test_sender_checks_give_the_same_message_from_file_config_and_sender():
         with pytest.raises(ConfigError) as parse_err:
             parse_scenario_text(SMALL.replace(f"= {original}", f"= {value}"))
         with pytest.raises(ConfigError) as config_err:
-            replace(cfg, **{field_name: value})
+            replace_keys(cfg, **{field_name: value})
         with pytest.raises(ValueError) as sender_err:
             TcpSender(Engine(), **{**sender_args, sender_arg: value})
         assert parse_err.value.field_name == config_err.value.field_name == field_name
@@ -289,7 +288,7 @@ def test_metrics_csv_is_byte_stable_across_runs():
 def test_different_seeds_differ():
     base = small_config()
     a = render_metrics_csv(run_scenario(base))
-    b = render_metrics_csv(run_scenario(replace(base, seed=10)))
+    b = render_metrics_csv(run_scenario(replace_keys(base, seed=10)))
     assert a != b
 
 
@@ -367,9 +366,12 @@ def test_sweep_rows_equal_in_process_runs():
 
 def test_import_loads_no_process_pool():
     # sweep() imports the pool itself; at module level it would add about
-    # 25 ms to every start of the package.
-    pool_modules = "{'multiprocessing', 'concurrent.futures.process'}"
-    code = f"import sys, subpace; print(sorted({pool_modules} & set(sys.modules)))"
+    # 25 ms to every start of the package.  `dataclasses` and the `inspect`
+    # it imports would add about 11 ms more.  Compared inside the child, so
+    # whatever the interpreter loads before `import subpace` does not count.
+    slow_modules = "{'multiprocessing', 'concurrent.futures.process', 'dataclasses', 'inspect'}"
+    code = ("import sys; before = set(sys.modules); import subpace; "
+            f"print(sorted({slow_modules} & (set(sys.modules) - before)))")
     src = str(Path(subpace.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
@@ -380,10 +382,10 @@ def test_queue_delay_grows_with_flow_count_once_floor_binds():
     # Balance point R* = 2nP*8/C scales with n; once it exceeds the AQM
     # target the standing queue grows with every added flow.
     base = load_scenario(SCENARIO_DIR / "broadband12.txt")
-    base = replace(base, duration=12 * SEC, warmup=4 * SEC)
+    base = replace_keys(base, duration=12 * SEC, warmup=4 * SEC)
     delays = []
     for n in (12, 16, 24):
-        metrics = run_scenario(replace(base, n_flows=n))
+        metrics = run_scenario(replace_keys(base, n_flows=n))
         delays.append(metrics.mean_queue_delay_ns)
     assert delays == sorted(delays)
     assert delays[0] > base.aqm_target
@@ -499,6 +501,15 @@ def test_per_packet_objects_stay_on_the_fast_attribute_path():
            sim.engine]
     for obj in hot:
         assert len(vars(obj)) < 30, f"{type(obj).__name__} holds {len(vars(obj))} attributes"
+
+
+def test_packets_and_acks_have_no_instance_dict():
+    # Slotted like the senders, so every field read per packet is a slot read.
+    sim = Simulation(small_config()).run(500 * MS)
+    in_flight = [packet for sender in sim.senders for packet in sender.segments]
+    assert in_flight
+    for record in (*in_flight, Ack(0, 1460, False)):
+        assert not hasattr(record, "__dict__")
 
 
 def test_an_odd_base_rtt_splits_into_two_legs_that_add_up_to_it():
@@ -625,6 +636,16 @@ def test_cli_reports_a_protocol_error_and_fails(tmp_path, capsys, monkeypatch):
     scenario.write_text(SMALL)
     assert cli.main(["run", str(scenario)]) == 1
     assert capsys.readouterr().err == "subpace: error: flow 0: ACK for 3000 beyond snd_nxt 2920\n"
+
+
+def test_config_and_metrics_survive_pickling_equal():
+    # The sweep pool pickles each row's config to a worker and its metrics back.
+    for cfg in (small_config(), parse_scenario_text(SMALL.replace("warmup = 1 s\n", ""))):
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and copy._derived == cfg._derived
+        assert copy != with_value(cfg, "seed", cfg.seed + 1)
+    metrics = run_scenario(small_config(duration=2 * SEC, warmup=500 * MS))
+    assert pickle.loads(pickle.dumps(metrics)) == metrics
 
 
 def test_config_error_survives_pickling():
