@@ -21,9 +21,18 @@ def window_in_mss(rate_bps: float, rtt_ns: int, mss: int) -> float:
     return rate_bps * (rtt_ns / NS_PER_SEC) / (mss * 8)
 
 
-def log_spaced(lo: float, hi: float, points: int) -> list[float]:
-    if lo <= 0 or hi < lo or points < 1:
-        raise ValueError("need 0 < lo <= hi and points >= 1")
+# Largest `points` per axis of the region grid, which holds points² rows in memory.
+MAX_GRID_POINTS = 1_000
+
+
+def log_spaced(lo: float, hi: float, points: int, name: str = "range") -> list[float]:
+    """`points` values from lo to hi, evenly spaced in log; errors name `{name}-min`/`-max`."""
+    if lo <= 0:
+        raise ValueError(f"{name}-min: must be positive, got {lo}")
+    if hi < lo:
+        raise ValueError(f"{name}-max: must be at least {name}-min ({lo}), got {hi}")
+    if points < 1:
+        raise ValueError(f"points: must be at least 1, got {points}")
     if points == 1 or hi == lo:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (points - 1))
@@ -40,14 +49,19 @@ def window_region_grid(
 
     The diagonal column flags cells sitting exactly on the 1-MSS or 2-MSS
     per-flow window lines.  The grid is per-flow; a consumer models n flows
-    by dividing the link rate before lookup.
+    by dividing the link rate before lookup.  Errors name the bad argument's
+    `subpace regions` flag.
     """
     if mss <= 0:
-        raise ValueError("mss must be positive")
+        raise ValueError("mss: must be positive")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"points: must be at most {MAX_GRID_POINTS}, got {points}")
+    rtts = log_spaced(*rtt_range_ns, points, "rtt")
+    rates = log_spaced(*rate_range_bps, points, "rate")
     rows = []
-    for rtt in log_spaced(rtt_range_ns[0], rtt_range_ns[1], points):
+    for rtt in rtts:
         rtt_ns = round(rtt)
-        for rate in log_spaced(rate_range_bps[0], rate_range_bps[1], points):
+        for rate in rates:
             window = window_in_mss(rate, rtt_ns, mss)
             diagonal = ""
             for mark in (1, 2):

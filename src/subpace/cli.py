@@ -4,7 +4,7 @@ analytic packet floor, or emit the window-region grid as CSV."""
 import argparse
 import sys
 
-from .analysis import pkt_per_rtt_floor, window_region_grid
+from .analysis import MAX_GRID_POINTS, pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, load_scenario, parse_rate, parse_size, parse_time, with_value
 from .endpoint import ProtocolError
 from .scenario import render_metrics_csv, render_regions_csv, render_sweep_csv, run_scenario, sweep
@@ -30,6 +30,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
+    if not values:
+        raise ConfigError("values", "give at least one comma-separated value")
     rows = sweep(_load(args), args.vary, values)
     _write_output(render_sweep_csv(args.vary, rows), args.out)
     return 0
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     regions_p.add_argument("--rate-min", required=True)
     regions_p.add_argument("--rate-max", required=True)
     regions_p.add_argument("--mss", required=True)
-    regions_p.add_argument("--points", type=int, default=25)
+    regions_p.add_argument("--points", type=int, default=25, help=f"at most {MAX_GRID_POINTS}")
     regions_p.set_defaults(func=_cmd_regions)
 
     for sub_parser in (run_p, sweep_p):

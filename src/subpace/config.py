@@ -189,7 +189,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         key = key.strip()
         if key in values:
             raise ConfigError(key, "duplicate key")
-        values[key] = parse_field_value(key, raw.strip())
+        values[key] = key_parser(key)(key, raw.strip())
     return ScenarioConfig(**values)
 
 
@@ -198,11 +198,11 @@ def load_scenario(path) -> ScenarioConfig:
         return parse_scenario_text(handle.read())
 
 
-def parse_field_value(field_name: str, raw: str):
-    """Parse one value the way the scenario file would; used by sweeps."""
+def key_parser(field_name: str):
+    """The scenario file's parser for one key, called as parser(field_name, raw)."""
     if field_name not in KEYS:
         raise ConfigError(field_name, "unknown key")
-    return KEYS[field_name][0](field_name, raw)
+    return KEYS[field_name][0]
 
 
 def with_value(cfg: ScenarioConfig, field_name: str, value) -> ScenarioConfig:

@@ -223,8 +223,9 @@ class TcpSender:
                 return
             self._send(now, retx, payload)
 
-    def _on_pacer_ready(self, now: int) -> None:
+    def _on_pacer_ready(self) -> None:
         # The elapsed wait is the entitlement to send exactly one segment.
+        now = self.engine.now
         retx, payload = self._next_segment()
         if payload:
             self._send(now, retx, payload)

@@ -31,22 +31,7 @@ def transmission_time_ns(bits: int, rate_bps: int) -> int:
 def _cancelled() -> None: ...  # the action of a cancelled heap entry
 
 
-class ScheduledEvent:
-    """A handle on one queued entry; `cancel()` makes the entry's action a no-op."""
-
-    __slots__ = ("entry", "tag")
-
-    def __init__(self, entry: list | None, tag: str | None):
-        self.entry = entry
-        self.tag = tag
-
-    cancelled = property(lambda self: self.entry[2] is _cancelled)
-
-    def cancel(self) -> None:
-        self.entry[2] = _cancelled
-
-
-class Timer(ScheduledEvent):
+class Timer:
     """One pending `action` per owner, scheduled on `engine` under `tag`.
 
     `set(at)` replaces any pending firing with one at `at`; `stop()` drops it.
@@ -59,17 +44,23 @@ class Timer(ScheduledEvent):
     `deadline` and reserves the engine's next seq as its order key.  The entry
     that comes due fires, is dropped after `stop`, or queues again at that key.
     The timer is the handle on that entry (`entry`, None when none is queued):
-    an earlier `set` queues a new entry and cancels the old one.
+    an earlier `set` queues a new entry and `cancel()`s the old one.
     """
 
-    __slots__ = ("engine", "action", "deadline", "_order")
+    __slots__ = ("entry", "tag", "engine", "action", "deadline", "_order")
 
-    def __init__(self, engine: "Engine", action, tag: str):
-        super().__init__(None, tag)
+    def __init__(self, engine: "Engine", action, tag: str | None):
+        self.entry: list | None = None
+        self.tag = tag
         self.engine = engine
         self.action = action
         self.deadline: int | None = None
         self._order = 0  # engine seq that orders `deadline` among equal times
+
+    cancelled = property(lambda self: self.entry[2] is _cancelled)
+
+    def cancel(self) -> None:
+        self.entry[2] = _cancelled
 
     def set(self, at: int) -> None:
         queued = self.entry
@@ -97,6 +88,10 @@ class Timer(ScheduledEvent):
         else:  # the same list, so the action `schedule` queued fires again
             entry[0], entry[1] = at, self._order
             heapq.heappush(self.engine._heap, entry)
+
+
+# perfbench/tracer.py wraps `ScheduledEvent.cancel`; the alias goes once it wraps `Timer.cancel`.
+ScheduledEvent = Timer
 
 
 class Recorder:

@@ -38,19 +38,18 @@ def pacing_delay(seg: int, window: int, rtt: int) -> int:
 class Pacer:
     """Per-flow wait bookkeeping on top of an engine timer.
 
-    At most one wait is pending.  A wait cycle is anchored at the time it was
-    armed (the window-changing event); a mid-wait window change rebases the
-    wait against that same epoch.  A non-positive window arms no wait: the
-    sender asks again after the next increase.  R is read from the owner at
-    each wait: `rtt()` is called whenever a wait is armed or rebased.
+    At most one wait is pending, and the timer calls `on_ready()` when it
+    elapses.  A wait cycle is anchored at the time it was armed (the
+    window-changing event); a mid-wait window change rebases the wait against
+    that same epoch.  A non-positive window arms no wait: the sender asks
+    again after the next increase.  R is read from the owner at each wait:
+    `rtt()` is called whenever a wait is armed or rebased.
     """
 
     def __init__(self, engine: Engine, rtt, on_ready):
-        self.engine = engine
         self.rtt = rtt
-        self.on_ready = on_ready
         self.epoch: int | None = None
-        self.timer = Timer(engine, self._fire, "pacer.fire")
+        self.timer = Timer(engine, on_ready, "pacer.fire")
 
     @property
     def waiting(self) -> bool:
@@ -87,6 +86,3 @@ class Pacer:
             # An entitlement already earned fires through the queue at `now`,
             # so delivery order stays deterministic.
             self.timer.set(target if target > now else now)
-
-    def _fire(self) -> None:
-        self.on_ready(self.engine.now)

@@ -12,7 +12,7 @@ from collections import defaultdict
 from functools import partial
 
 from .analysis import jain_fairness
-from .config import ScenarioConfig, parse_field_value, with_value
+from .config import ScenarioConfig, key_parser, with_value
 from .endpoint import DEFAULT_TUNING, Ack, TcpReceiver, TcpSender, Tuning
 from .engine import NS_PER_SEC, Engine, Recorder, transmission_time_ns
 from .netpath import AqmLink
@@ -204,13 +204,16 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
     """Run one scenario per value, each with its own seed; rows in input order.
 
     Every value is parsed and every row's config built before any row runs,
-    so a bad value fails at once.  The rows then run in worker processes, one
-    per row and at most one per CPU.
+    so a bad value fails at once, and an unknown key fails even with no values.
+    The rows then run in worker processes, one per row and at most one per CPU.
     """
+    parse = key_parser(field_name)
     raw_values = list(raw_values)
+    if not raw_values:
+        return []
     configs = []
     for index, raw in enumerate(raw_values):
-        run_cfg = with_value(cfg, field_name, parse_field_value(field_name, raw))
+        run_cfg = with_value(cfg, field_name, parse(field_name, raw))
         if field_name != "seed":
             run_cfg = with_value(run_cfg, "seed", derive_sweep_seed(cfg.seed, index))
         configs.append(run_cfg)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The demonstration runs use
 the shipped scenario files; tolerances are fixed here, not tuned per run.
 """
 
+import hashlib
 import statistics
 from collections import defaultdict
 from pathlib import Path
@@ -263,3 +264,25 @@ def test_acceptance_9_determinism(baseline_sim):
     rerun = run_scenario(load_scenario(SCENARIO_DIR / "broadband12.txt"))
     assert render_metrics_csv(rerun) == first  # byte-identical CSV
     report(9, "same scenario and seed reproduce byte-identical CSV")
+
+
+# SHA-256 of each shipped scenario's metrics CSV at its own 60 s and seed 1.
+SHIPPED_60S_SHA256 = {
+    "broadband12": "0a1d58eb34f15f574886dd8db8506ca6d0832ff9bfcf1d3a0f8f2444b95e9000",
+    "broadband12_submss": "10a201545ff32c72dc729496ef262feadedfaeded6b32aef4c5adc94785e2045",
+    "broadband12_submss_nodelack":
+        "2cb37aa5d330b7e82c64243a972cd4c2bda2fd208c9b2843d98f4007bd666612",
+    "broadband12_reddrop": "d40ca72497ffc240264e43f04301dedf3aa8583583c28467270fa099f0b059da",
+}
+
+
+def test_shipped_scenarios_keep_their_pinned_csv(baseline_sim, submss_run, nodelack_run,
+                                                 reddrop_run):
+    """Not a criterion: the fixtures' full runs, hashed, so no CSV byte moves unnoticed.
+
+    The flow-0 send log and the logging recorder observe and change no output.
+    """
+    sims = [baseline_sim, submss_run[0], nodelack_run[0], reddrop_run[0]]
+    got = {name: hashlib.sha256(render_metrics_csv(sim.metrics()).encode()).hexdigest()
+           for name, sim in zip(SHIPPED_60S_SHA256, sims)}
+    assert got == SHIPPED_60S_SHA256

@@ -282,8 +282,9 @@ def test_package_has_no_generated_functions():
 # call to builtin min/max nor a call that passes keyword arguments, and each
 # costs several times a plain comparison or a positional call.
 PER_PACKET_FUNCTIONS = {
-    "netpath.py": ["AqmLink.enqueue", "AqmLink.retire"],
-    "scenario.py": ["Meter.backlog", "Meter.departure", "Simulation._return_ack"],
+    "netpath.py": ["AqmLink.enqueue", "AqmLink.retire", "AqmLink._drop"],
+    "scenario.py": ["Meter.backlog", "Meter.departure", "Meter.mark", "Meter.drop",
+                    "Simulation._return_ack"],
     "endpoint.py": [
         "TcpSender._send", "TcpSender._pump", "TcpSender._next_segment", "TcpSender.on_ack",
         "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
@@ -291,7 +292,9 @@ PER_PACKET_FUNCTIONS = {
         "TcpReceiver._emit_ack",
     ],
     "pacing.py": ["Pacer.request", "Pacer.window_changed", "pacing_delay", "segment_size"],
-    "engine.py": ["Engine.schedule", "Engine.run_until", "Timer.set", "Timer._fire"],
+    "engine.py": [
+        "Engine.schedule", "Engine.run_until", "Timer.set", "Timer._fire", "Timer.cancel",
+    ],
 }
 
 

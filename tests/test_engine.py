@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subpace.engine import (
-    MS, Engine, ScheduledEvent, Timer, div_round_half_up, transmission_time_ns,
+    MS, Engine, Timer, div_round_half_up, transmission_time_ns,
 )
 
 
@@ -30,7 +30,8 @@ def test_events_delivered_in_time_order():
 def test_cancelled_event_never_fires():
     engine = Engine()
     fired = []
-    handle = ScheduledEvent(engine.schedule(5, lambda: fired.append(1)), None)
+    handle = Timer(engine, lambda: fired.append(1), None)
+    handle.set(5)
     handle.cancel()
     engine.run_until(100)
     assert fired == []
@@ -190,13 +191,13 @@ def test_timer_set_in_the_past_raises_and_keeps_the_deadline():
 
 def test_timer_later_then_earlier_set_cancels_exactly_one_entry(monkeypatch):
     cancelled = []
-    cancel = ScheduledEvent.cancel
+    cancel = Timer.cancel
 
     def spy(event):
         cancelled.append(event.entry[0])
         cancel(event)
 
-    monkeypatch.setattr(ScheduledEvent, "cancel", spy)
+    monkeypatch.setattr(Timer, "cancel", spy)
     engine = Engine()
     fired = []
     timer = Timer(engine, lambda: fired.append(engine.now), "t")
@@ -223,6 +224,10 @@ def test_timer_set_again_after_stop_fires_after_plain_event_at_that_time():
     assert order == ["plain", "timer"]
 
 
+def _noop():
+    pass
+
+
 class EagerTimer:
     """Reference for `Timer`: every `set` schedules a fresh event and cancels the old one."""
 
@@ -231,23 +236,23 @@ class EagerTimer:
         self.action = action
         self.tag = tag
         self.deadline = None
-        self._event = None
+        self._entry = None  # the queued heap entry [at, seq, action]
 
     def set(self, at):
-        event = ScheduledEvent(self.engine.schedule(at, self._fire, self.tag), self.tag)
-        if self._event is not None:
-            self._event.cancel()
-        self._event = event
+        entry = self.engine.schedule(at, self._fire, self.tag)
+        if self._entry is not None:
+            self._entry[2] = _noop
+        self._entry = entry
         self.deadline = at
 
     def stop(self):
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        if self._entry is not None:
+            self._entry[2] = _noop
+            self._entry = None
             self.deadline = None
 
     def _fire(self):
-        self._event = None
+        self._entry = None
         self.deadline = None
         self.action()
 
@@ -391,7 +396,8 @@ def test_schedule_cancel_property(plan):
     fired = []
     handles = []
     for at, keep in plan:
-        handle = ScheduledEvent(engine.schedule(at, lambda at=at: fired.append(at)), None)
+        handle = Timer(engine, lambda at=at: fired.append(at), None)
+        handle.set(at)
         handles.append((handle, keep))
     for handle, keep in handles:
         if not keep:

@@ -85,7 +85,8 @@ class PacerHarness:
     def __init__(self):
         self.engine = Engine()
         self.fired_at = []
-        self.pacer = Pacer(self.engine, rtt=lambda: 6 * MS, on_ready=self.fired_at.append)
+        self.pacer = Pacer(self.engine, rtt=lambda: 6 * MS,
+                           on_ready=lambda: self.fired_at.append(self.engine.now))
 
 
 def test_pacer_waits_then_fires():

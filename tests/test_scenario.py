@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 import subpace
 from subpace import cli, scenario
+from subpace.analysis import MAX_GRID_POINTS
 from subpace.config import (
     ConfigError,
     ScenarioConfig,
@@ -321,7 +322,13 @@ def test_sweep_same_value_same_metrics():
     assert render_sweep_csv("sender_mode", rows_a) == render_sweep_csv("sender_mode", rows_b)
 
 
-def test_sweep_empty_values_gives_header_only():
+def test_sweep_empty_values_gives_header_only(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args):
+        raise AssertionError("sweep() started a process pool for no values")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = small_config()
     out = render_sweep_csv("n_flows", sweep(cfg, "n_flows", []))
     assert out == (
@@ -334,6 +341,9 @@ def test_sweep_empty_values_gives_header_only():
 def test_sweep_unknown_field_is_an_error():
     with pytest.raises(ConfigError):
         sweep(small_config(), "not_a_key", ["1"])
+    with pytest.raises(ConfigError) as err:  # checked even with no value to parse
+        sweep(small_config(), "not_a_key", [])
+    assert err.value.field_name == "not_a_key"
 
 
 def test_sweep_checks_every_value_before_any_row_runs(monkeypatch):
@@ -576,6 +586,27 @@ def test_cli_sweep(tmp_path):
     assert lines[0].startswith("sender_mode,")
     assert lines[1].startswith("baseline,")
     assert lines[2].startswith("submss,")
+
+
+def test_cli_sweep_without_values_names_values_and_fails(tmp_path, capsys):
+    scenario_file = tmp_path / "small.txt"
+    scenario_file.write_text(SMALL)
+    assert cli.main(["sweep", str(scenario_file), "--vary", "n_flows", "--values", ","]) == 1
+    assert "values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--points", "0", "points"),
+    ("--points", str(MAX_GRID_POINTS + 1), "points"),  # checked before any row is built
+    ("--rtt-min", "0ms", "rtt-min"),
+    ("--rtt-min", "20ms", "rtt-max"),
+    ("--rate-min", "20mbps", "rate-max"),
+])
+def test_cli_regions_bad_argument_names_its_flag_and_fails(capsys, flag, value, named):
+    args = {"--rtt-min": "1ms", "--rtt-max": "10ms", "--rate-min": "1mbps",
+            "--rate-max": "10mbps", "--mss": "1460B", "--points": "2", flag: value}
+    assert cli.main(["regions", *(item for pair in args.items() for item in pair)]) == 1
+    assert capsys.readouterr().err.startswith(f"subpace: error: {named}: ")
 
 
 def test_cli_regions(capsys):
