@@ -6,7 +6,7 @@ a flow run at less than two packets per round trip while the queue stays at
 the AQM's intended operating point.
 """
 
-from .analysis import jain_fairness, pkt_per_rtt_floor, window_region_grid
+from .analysis import balance_rtt_ns, jain_fairness, pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
 from .endpoint import Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
 from .engine import Engine, Recorder
@@ -29,6 +29,7 @@ __all__ = [
     "TcpReceiver",
     "TcpSender",
     "Tuning",
+    "balance_rtt_ns",
     "jain_fairness",
     "load_scenario",
     "pacing_delay",

@@ -1,24 +1,27 @@
-"""Closed-form helpers: the per-flow packet floor, the window-region grid,
-and the fairness index used by the metrics layer."""
+"""Closed-form helpers: the per-flow packet floor and its balance point, the
+window-region grid, and the fairness index used by the metrics layer."""
 
 from .engine import NS_PER_SEC
 
 
-def pkt_per_rtt_floor(capacity_bps: int, n_flows: int, frame_size: int, rtt_ns: int) -> float:
+def pkt_per_rtt_floor(capacity_bps: float, n_flows: int, frame_size: int, rtt_ns: int) -> float:
     """Packets per RTT each of n equal flows must send to fill the link.
 
     When this lands below 2, the two-segment minimum window forces the flows
     to overshoot the link and the queue must grow until the RTT makes the
-    floor fit.
+    floor fit.  With n = 1 and an MSS frame it is a flow's window in MSS.
+    Errors name the bad argument's `subpace floor` flag.
     """
-    if min(capacity_bps, n_flows, frame_size, rtt_ns) <= 0:
-        raise ValueError("all floor arguments must be positive")
+    for flag, value in zip(("capacity", "flows", "frame", "rtt"),
+                           (capacity_bps, n_flows, frame_size, rtt_ns)):
+        if value <= 0:
+            raise ValueError(f"{flag}: must be positive, got {value}")
     return capacity_bps * (rtt_ns / NS_PER_SEC) / (n_flows * frame_size * 8)
 
 
-def window_in_mss(rate_bps: float, rtt_ns: int, mss: int) -> float:
-    """Per-flow window, in segments, implied by a rate and round-trip time."""
-    return rate_bps * (rtt_ns / NS_PER_SEC) / (mss * 8)
+def balance_rtt_ns(capacity_bps: int, n_flows: int, frame_size: int) -> int:
+    """R* = 2·n·P·8/C in whole ns, the RTT at which two frames per flow fill the link."""
+    return 2 * n_flows * frame_size * 8 * NS_PER_SEC // capacity_bps
 
 
 # Largest `points` per axis of the region grid, which holds points² rows in memory.
@@ -45,12 +48,11 @@ def window_region_grid(
     mss: int,
     points: int = 25,
 ) -> list[tuple[int, float, float, str]]:
-    """(rtt_ns, rate_bps, window_in_MSS, diagonal) over a log-spaced grid.
+    """(rtt_ns, rate_bps, window_in_MSS, region) over a log-spaced grid.
 
-    The diagonal column flags cells sitting exactly on the 1-MSS or 2-MSS
-    per-flow window lines.  The grid is per-flow; a consumer models n flows
-    by dividing the link rate before lookup.  Errors name the bad argument's
-    `subpace regions` flag.
+    The region, `<1`, `1-2` or `>=2` MSS, is exact: a cell on a line is above
+    it.  The grid is per-flow; a consumer models n flows by dividing the link
+    rate before lookup.  Errors name the bad argument's `subpace regions` flag.
     """
     if mss <= 0:
         raise ValueError("mss: must be positive")
@@ -58,24 +60,21 @@ def window_region_grid(
         raise ValueError(f"points: must be at most {MAX_GRID_POINTS}, got {points}")
     rtts = log_spaced(*rtt_range_ns, points, "rtt")
     rates = log_spaced(*rate_range_bps, points, "rate")
+    ratios = [(rate, *rate.as_integer_ratio()) for rate in rates]  # rate == num / den
+    columns = [(rate, num, den * mss * 8 * NS_PER_SEC) for rate, num, den in ratios]
     rows = []
     for rtt in rtts:
         rtt_ns = round(rtt)
-        for rate in rates:
-            window = window_in_mss(rate, rtt_ns, mss)
-            diagonal = ""
-            for mark in (1, 2):
-                if abs(window - mark) <= 1e-9 * mark:
-                    diagonal = str(mark)
-            rows.append((rtt_ns, rate, window, diagonal))
+        for rate, num, one_mss in columns:
+            window = num * rtt_ns  # exact, in units of which one MSS is one_mss
+            region = "<1" if window < one_mss else "1-2" if window < 2 * one_mss else ">=2"
+            rows.append((rtt_ns, rate, pkt_per_rtt_floor(rate, 1, mss, rtt_ns), region))
     return rows
 
 
 def jain_fairness(values) -> float:
-    """(sum x)^2 / (n * sum x^2); 1.0 for perfectly equal shares."""
+    """(sum x)^2 / (n * sum x^2); 1.0 for perfectly equal shares, 0.0 for none or all zero."""
     values = list(values)
-    if not values:
-        return 0.0
     square_sum = sum(v * v for v in values)
     if square_sum == 0:
         return 0.0

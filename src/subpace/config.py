@@ -126,8 +126,7 @@ class ScenarioConfig:
 
     def __init__(self, **values):
         for name in values:
-            if name not in KEYS:
-                raise ConfigError(name, "unknown key")
+            key_parser(name)  # raises on an unknown key
         for name, (_, default, _) in KEYS.items():
             value = values.get(name, default)
             if value is REQUIRED:

@@ -459,7 +459,7 @@ class TcpReceiver:
         filled = False
         while self.rcv_nxt in self._ooo:
             end = self._ooo.pop(self.rcv_nxt)
-            self.rcv_nxt = max(self.rcv_nxt, end)
+            self.rcv_nxt = end  # past rcv_nxt, since every payload is positive
             filled = True
         return filled
 

@@ -272,7 +272,7 @@ def render_sweep_csv(field_name: str, rows) -> str:
 
 
 def render_regions_csv(rows) -> str:
-    out = ["rtt_ns,rate_bps,window_mss,diagonal"]
-    for rtt_ns, rate, window, diagonal in rows:
-        out.append(f"{rtt_ns},{_real(rate)},{_real(window)},{diagonal}")
+    out = ["rtt_ns,rate_bps,window_mss,region"]
+    for rtt_ns, rate, window, region in rows:
+        out.append(f"{rtt_ns},{_real(rate)},{_real(window)},{region}")
     return "\n".join(out) + "\n"

@@ -13,6 +13,7 @@ import pytest
 from conftest import log_recorder, log_sends
 
 from subpace import cli
+from subpace.analysis import balance_rtt_ns
 from subpace.config import ScenarioConfig, load_scenario
 from subpace.endpoint import RTO_MAX, Ack, TcpSender, Tuning
 from subpace.engine import MS, SEC, Engine
@@ -81,7 +82,7 @@ def test_acceptance_2_standing_queue_baseline_ecn(baseline_sim):
     metrics = baseline_sim.metrics()
     # Closed-form balance oracle: every flow pinned at two frames per round
     # trip fills the link when the RTT grows to R* = 2nP*8/C.
-    r_star_ns = 2 * cfg.n_flows * cfg.frame_size * 8 * 10**9 // cfg.capacity
+    r_star_ns = balance_rtt_ns(cfg.capacity, cfg.n_flows, cfg.frame_size)
     expected_qd = r_star_ns - cfg.base_rtt
     assert abs(metrics.mean_queue_delay_ns - expected_qd) <= 0.15 * expected_qd
     assert metrics.mean_queue_delay_ns > cfg.aqm_target  # standing queue

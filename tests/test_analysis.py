@@ -1,13 +1,15 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from subpace.analysis import (
+    balance_rtt_ns,
     jain_fairness,
     log_spaced,
     pkt_per_rtt_floor,
-    window_in_mss,
     window_region_grid,
 )
 from subpace.engine import MS
@@ -33,12 +35,13 @@ def test_floor_exact_balance_point():
     # C*R = 2*n*P*8 puts the floor exactly at 2 packets per round trip.
     n, frame = 12, 1518
     capacity = 40_000_000
-    rtt = 2 * n * frame * 8 * 10**9 // capacity
+    rtt = balance_rtt_ns(capacity, n, frame)
+    assert rtt == 7_286_400
     assert pkt_per_rtt_floor(capacity, n, frame, rtt) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_floor_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^capacity: must be positive"):
         pkt_per_rtt_floor(0, 12, 1518, 6 * MS)
 
 
@@ -51,19 +54,24 @@ def test_floor_linear_in_rtt_and_inverse_in_flows(capacity, flows, frame, rtt):
 
 
 def test_window_one_mss_diagonal():
-    # 2 Mb/s over 6 ms with a 1500 B MSS sits exactly on the 1-MSS diagonal.
-    assert window_in_mss(2_000_000, 6 * MS, 1500) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_window_vanishes_with_rtt():
-    assert window_in_mss(2_000_000, 0, 1500) == 0.0
+    # 2 Mb/s over 6 ms with a 1500 B MSS sits exactly on the 1-MSS diagonal:
+    # one flow's floor, with the MSS as its frame, is its window in MSS.
+    assert pkt_per_rtt_floor(2_000_000, 1, 1500, 6 * MS) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_region_grid_flags_diagonals():
+    # Exactly 1 and 2 MSS count as the region above the line; one bit per
+    # second less, or the next float below 2 Mb/s, is below it.
     rows = window_region_grid((6 * MS, 6 * MS), (2_000_000, 4_000_000), 1500, points=2)
-    flags = {round(w, 6): d for (_, _, w, d) in rows}
-    assert flags[1.0] == "1"
-    assert flags[2.0] == "2"
+    assert [(w, region) for (_, _, w, region) in rows] == [(1.0, "1-2"), (2.0, ">=2")]
+    for rate in (1_999_999, math.nextafter(2e6, 0)):
+        [(_, _, _, region)] = window_region_grid((6 * MS, 6 * MS), (rate, rate), 1500, points=1)
+        assert region == "<1"
+
+
+def test_region_grid_counts_on_the_readme_grid():
+    rows = window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460)
+    assert Counter(region for (_, _, _, region) in rows) == {"<1": 225, "1-2": 58, ">=2": 342}
 
 
 def test_region_grid_shape_and_ranges():

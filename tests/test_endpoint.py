@@ -289,7 +289,7 @@ PER_PACKET_FUNCTIONS = {
         "TcpSender._send", "TcpSender._pump", "TcpSender._next_segment", "TcpSender.on_ack",
         "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
         "TcpSender._on_pacer_ready", "TcpSender._dctcp_account", "TcpReceiver.on_segment",
-        "TcpReceiver._emit_ack",
+        "TcpReceiver._absorb_buffered", "TcpReceiver._emit_ack",
     ],
     "pacing.py": ["Pacer.request", "Pacer.window_changed", "pacing_delay", "segment_size"],
     "engine.py": [
@@ -456,6 +456,22 @@ def test_baseline_rto_resets_to_floor_and_doubles_timer():
     assert any(p.is_retransmission for p in sent)
 
 
+def test_baseline_rto_backoff_stops_at_256():
+    # A 200 ms base keeps 256 backoffs (51.2 s) under RTO_MAX, so the cap
+    # itself shows: the retransmission gaps double eight times, then plateau.
+    engine = Engine()
+    sent = []
+    tuning = Tuning(rto_min=200 * MS, rto_initial=200 * MS)
+    sender = make_sender(engine, sent.append, mode="baseline", tuning=tuning)
+    sender.app_write(M)  # no ACK ever arrives
+    engine.run_until(300 * SEC)
+    times = [p.sent_at for p in sent if p.is_retransmission]
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert gaps[:8] == [200 * MS * 2**k for k in range(1, 9)]
+    assert gaps[8:] and set(gaps[8:]) == {256 * 200 * MS}
+    assert sender.rto_backoff == 256
+
+
 def test_submss_rto_sequence_halves_window_geometrically():
     # Three consecutive timeouts with no ACKs: the window halves each time,
     # M/2 -> M/4 -> M/8 -> M/16, with no timer doubling anywhere.
@@ -604,6 +620,18 @@ def test_srtt_converges_to_true_path_rtt():
     rig.sender.app_write(100 * M)
     rig.engine.run_until(2 * SEC)
     assert rig.sender.srtt == 6 * MS
+
+
+def test_rto_keeps_a_one_ns_variance_floor():
+    # RFC 6298's clock granularity G: on a constant path rttvar decays to 0,
+    # and with rto_min below the RTT only G keeps the RTO above srtt.
+    rig = LoopbackRig(rtt=6 * MS, tuning=Tuning(rto_min=1, rto_initial=FAR_FUTURE,
+                                                growth_enabled=False))
+    rig.sender.window = 730
+    rig.sender.app_write(100 * M)
+    rig.engine.run_until(2 * SEC)
+    assert rig.sender.rttvar == 0
+    assert rig.sender.current_rto() - rig.sender.srtt == 1
 
 
 # -- steady-state rate --------------------------------------------------------

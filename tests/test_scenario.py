@@ -550,6 +550,16 @@ def test_cli_floor_prints_value(capsys):
     assert abs(float(out) - 1.65) <= 0.01
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--capacity", "0mbps"), ("--flows", "0"), ("--frame", "0B"), ("--rtt", "0ms"),
+])
+def test_cli_floor_nonpositive_argument_names_its_flag_and_fails(capsys, flag, value):
+    args = {"--capacity": "40mbps", "--flows": "12", "--frame": "1518B", "--rtt": "6ms",
+            flag: value}
+    assert cli.main(["floor", *(item for pair in args.items() for item in pair)]) == 1
+    assert capsys.readouterr().err == f"subpace: error: {flag[2:]}: must be positive, got 0\n"
+
+
 def test_cli_run_writes_csv(tmp_path, capsys):
     scenario = tmp_path / "small.txt"
     scenario.write_text(SMALL.replace("duration = 4 s", "duration = 2 s")
@@ -610,13 +620,14 @@ def test_cli_regions_bad_argument_names_its_flag_and_fails(capsys, flag, value, 
 
 
 def test_cli_regions(capsys):
-    rc = cli.main(["regions", "--rtt-min", "6ms", "--rtt-max", "6ms",
-                   "--rate-min", "2mbps", "--rate-max", "2mbps",
-                   "--mss", "1500B", "--points", "1"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "rtt_ns,rate_bps,window_mss,diagonal"
-    assert lines[1].endswith(",1")  # exactly on the 1-MSS diagonal
+    # A cell exactly on the 1- or 2-MSS line counts as above it.
+    for rate, ending in (("2mbps", ",1,1-2"), ("4mbps", ",2,>=2"), ("1999999bps", ",<1")):
+        rc = cli.main(["regions", "--rtt-min", "6ms", "--rtt-max", "6ms",
+                       "--rate-min", rate, "--rate-max", rate, "--mss", "1500B", "--points", "1"])
+        assert rc == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "rtt_ns,rate_bps,window_mss,region"
+        assert row.endswith(ending)
 
 
 def test_cli_floor_and_regions_take_no_seed(capsys):
