@@ -1,6 +1,8 @@
 """Closed-form helpers: the per-flow packet floor and its balance point, the
 window-region grid, and the fairness index used by the metrics layer."""
 
+from collections.abc import Iterator
+
 from .engine import NS_PER_SEC
 
 
@@ -24,7 +26,7 @@ def balance_rtt_ns(capacity_bps: int, n_flows: int, frame_size: int) -> int:
     return 2 * n_flows * frame_size * 8 * NS_PER_SEC // capacity_bps
 
 
-# Largest `points` per axis of the region grid, which holds points² rows in memory.
+# Largest `points` per axis of the region grid; its points² rows bound the run time.
 MAX_GRID_POINTS = 1_000
 
 
@@ -47,12 +49,12 @@ def window_region_grid(
     rate_range_bps: tuple[int, int],
     mss: int,
     points: int = 25,
-) -> list[tuple[int, float, float, str]]:
-    """(rtt_ns, rate_bps, window_in_MSS, region) over a log-spaced grid.
+) -> Iterator[tuple[int, float, float, str]]:
+    """(rtt_ns, rate_bps, window_in_MSS, region) over a log-spaced grid, row by row.
 
     The region, `<1`, `1-2` or `>=2` MSS, is exact: a cell on a line is above
     it.  The grid is per-flow; a consumer models n flows by dividing the link
-    rate before lookup.  Errors name the bad argument's `subpace regions` flag.
+    rate before lookup.  Errors name the bad `subpace regions` flag, before any row.
     """
     if mss <= 0:
         raise ValueError("mss: must be positive")
@@ -60,16 +62,12 @@ def window_region_grid(
         raise ValueError(f"points: must be at most {MAX_GRID_POINTS}, got {points}")
     rtts = log_spaced(*rtt_range_ns, points, "rtt")
     rates = log_spaced(*rate_range_bps, points, "rate")
-    ratios = [(rate, *rate.as_integer_ratio()) for rate in rates]  # rate == num / den
+    # rate == num / den, so a cell's window is exactly num * rtt_ns / one_mss MSS.
+    ratios = [(rate, *rate.as_integer_ratio()) for rate in rates]
     columns = [(rate, num, den * mss * 8 * NS_PER_SEC) for rate, num, den in ratios]
-    rows = []
-    for rtt in rtts:
-        rtt_ns = round(rtt)
-        for rate, num, one_mss in columns:
-            window = num * rtt_ns  # exact, in units of which one MSS is one_mss
-            region = "<1" if window < one_mss else "1-2" if window < 2 * one_mss else ">=2"
-            rows.append((rtt_ns, rate, pkt_per_rtt_floor(rate, 1, mss, rtt_ns), region))
-    return rows
+    return ((rtt_ns, rate, pkt_per_rtt_floor(rate, 1, mss, rtt_ns),
+             "<1" if num * rtt_ns < one_mss else "1-2" if num * rtt_ns < 2 * one_mss else ">=2")
+            for rtt_ns in map(round, rtts) for rate, num, one_mss in columns)
 
 
 def jain_fairness(values) -> float:

@@ -7,15 +7,15 @@ import sys
 from .analysis import MAX_GRID_POINTS, pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, load_scenario, parse_rate, parse_size, parse_time, with_value
 from .endpoint import ProtocolError
-from .scenario import render_metrics_csv, render_regions_csv, render_sweep_csv, run_scenario, sweep
+from .scenario import regions_csv_lines, render_metrics_csv, render_sweep_csv, run_scenario, sweep
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(lines, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
 
 
 def _load(args):
@@ -24,7 +24,7 @@ def _load(args):
 
 
 def _cmd_run(args) -> int:
-    _write_output(render_metrics_csv(run_scenario(_load(args))), args.out)
+    _write_output([render_metrics_csv(run_scenario(_load(args)))], args.out)
     return 0
 
 
@@ -33,7 +33,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("values", "give at least one comma-separated value")
     rows = sweep(_load(args), args.vary, values)
-    _write_output(render_sweep_csv(args.vary, rows), args.out)
+    _write_output([render_sweep_csv(args.vary, rows)], args.out)
     return 0
 
 
@@ -44,18 +44,15 @@ def _cmd_floor(args) -> int:
         parse_size("frame", args.frame),
         parse_time("rtt", args.rtt),
     )
-    _write_output(f"{value:.6g}\n", args.out)
+    _write_output([f"{value:.6g}\n"], args.out)
     return 0
 
 
 def _cmd_regions(args) -> int:
-    rows = window_region_grid(
-        (parse_time("rtt-min", args.rtt_min), parse_time("rtt-max", args.rtt_max)),
-        (parse_rate("rate-min", args.rate_min), parse_rate("rate-max", args.rate_max)),
-        parse_size("mss", args.mss),
-        points=args.points,
-    )
-    _write_output(render_regions_csv(rows), args.out)
+    rtts = (parse_time("rtt-min", args.rtt_min), parse_time("rtt-max", args.rtt_max))
+    rates = (parse_rate("rate-min", args.rate_min), parse_rate("rate-max", args.rate_max))
+    rows = window_region_grid(rtts, rates, parse_size("mss", args.mss), points=args.points)
+    _write_output(regions_csv_lines(rows), args.out)
     return 0
 
 

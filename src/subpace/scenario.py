@@ -9,6 +9,7 @@ timer behaviour under total loss of feedback.  Metrics are computed over
 
 import os
 from collections import defaultdict
+from collections.abc import Iterator
 from functools import partial
 
 from .analysis import jain_fairness
@@ -220,7 +221,7 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
     # Imported here, not at the top: it takes about 25 ms, near the package's own import time.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max(1, min(len(configs), os.cpu_count() or 1))) as pool:
+    with ProcessPoolExecutor(min(len(configs), os.cpu_count() or 1)) as pool:
         return list(zip(raw_values, pool.map(run_scenario, configs)))
 
 
@@ -260,19 +261,22 @@ def _metric_cells(m: ScenarioMetrics) -> list[str]:
     ]
 
 
+def csv_lines(header, rows) -> Iterator[str]:
+    """Yield the header, then each row, as one CSV line: cells joined by commas, then a newline."""
+    yield ",".join(header) + "\n"
+    for cells in rows:
+        yield ",".join(cells) + "\n"
+
+
 def render_metrics_csv(m: ScenarioMetrics) -> str:
-    return ",".join(METRIC_COLUMNS) + "\n" + ",".join(_metric_cells(m)) + "\n"
+    return "".join(csv_lines(METRIC_COLUMNS, [_metric_cells(m)]))
 
 
 def render_sweep_csv(field_name: str, rows) -> str:
-    out = [field_name + "," + ",".join(METRIC_COLUMNS)]
-    for raw, metrics in rows:
-        out.append(raw + "," + ",".join(_metric_cells(metrics)))
-    return "\n".join(out) + "\n"
+    cells = ([raw, *_metric_cells(metrics)] for raw, metrics in rows)
+    return "".join(csv_lines((field_name, *METRIC_COLUMNS), cells))
 
 
-def render_regions_csv(rows) -> str:
-    out = ["rtt_ns,rate_bps,window_mss,region"]
-    for rtt_ns, rate, window, region in rows:
-        out.append(f"{rtt_ns},{_real(rate)},{_real(window)},{region}")
-    return "\n".join(out) + "\n"
+def regions_csv_lines(rows) -> Iterator[str]:
+    cells = ((str(rtt_ns), _real(rate), _real(w), region) for rtt_ns, rate, w, region in rows)
+    return csv_lines(("rtt_ns", "rate_bps", "window_mss", "region"), cells)

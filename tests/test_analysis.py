@@ -62,20 +62,21 @@ def test_window_one_mss_diagonal():
 def test_region_grid_flags_diagonals():
     # Exactly 1 and 2 MSS count as the region above the line; one bit per
     # second less, or the next float below 2 Mb/s, is below it.
-    rows = window_region_grid((6 * MS, 6 * MS), (2_000_000, 4_000_000), 1500, points=2)
+    rows = list(window_region_grid((6 * MS, 6 * MS), (2_000_000, 4_000_000), 1500, points=2))
     assert [(w, region) for (_, _, w, region) in rows] == [(1.0, "1-2"), (2.0, ">=2")]
     for rate in (1_999_999, math.nextafter(2e6, 0)):
-        [(_, _, _, region)] = window_region_grid((6 * MS, 6 * MS), (rate, rate), 1500, points=1)
+        [(_, _, _, region)] = list(
+            window_region_grid((6 * MS, 6 * MS), (rate, rate), 1500, points=1))
         assert region == "<1"
 
 
 def test_region_grid_counts_on_the_readme_grid():
-    rows = window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460)
+    rows = list(window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460))
     assert Counter(region for (_, _, _, region) in rows) == {"<1": 225, "1-2": 58, ">=2": 342}
 
 
 def test_region_grid_shape_and_ranges():
-    rows = window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460, points=5)
+    rows = list(window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460, points=5))
     assert len(rows) == 25
     rtts = sorted({r for (r, _, _, _) in rows})
     assert rtts[0] == 1 * MS and rtts[-1] == 100 * MS

@@ -1,4 +1,5 @@
-"""Pinned metrics CSV of every shipped scenario on a short run, and of one sweep.
+"""Pinned CSV: every shipped scenario's metrics on a short run, one sweep, and
+the README's `subpace regions` grid.
 
 Each shipped scenario runs at seeds 1 and 2 with a 1 s warmup and a 4 s
 duration, which covers the drop, mark, RTO and delayed-ACK paths.  The sweep
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from subpace import cli
 from subpace.config import load_scenario, with_value
 from subpace.engine import SEC
 from subpace.scenario import render_metrics_csv, render_sweep_csv, run_scenario, sweep
@@ -34,6 +36,10 @@ GOLDEN_SHA256 = {
 }
 
 SWEEP_SHA256 = "b19225782ace6ad25b101517812d15f5272ff7248948805d22686c964318a85f"
+
+REGIONS_ARGS = ["regions", "--rtt-min", "1ms", "--rtt-max", "100ms",
+                "--rate-min", "100kbps", "--rate-max", "100mbps", "--mss", "1460B"]
+REGIONS_SHA256 = "d603a659c0b1d32f47e748fcd76df110d211f905a2b4427822b51029e481ad8a"
 
 
 def test_every_shipped_scenario_is_pinned():
@@ -58,3 +64,22 @@ def test_short_sweep_csv_matches_pinned_hash():
     cfg = with_value(cfg, "duration", 4 * SEC)
     csv = render_sweep_csv("n_flows", sweep(cfg, "n_flows", ["4", "8"]))
     assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_SHA256
+
+
+def test_readme_regions_csv_matches_pinned_hash(tmp_path):
+    out = tmp_path / "regions.csv"
+    assert cli.main([*REGIONS_ARGS, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REGIONS_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    [*REGIONS_ARGS, "--points", "0"],
+    ["sweep", str(SCENARIO_DIR / "broadband12.txt"), "--vary", "n_flows", "--values", "4,0"],
+])
+def test_a_rejected_command_leaves_its_out_file_unchanged(tmp_path, capsys, argv):
+    # The CSV streams into --out, so every argument must be checked before it is opened.
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"earlier,output\n")
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert out.read_bytes() == b"earlier,output\n"
+    assert capsys.readouterr().err.startswith("subpace: error: ")

@@ -540,6 +540,19 @@ def test_memory_does_not_grow_with_run_length():
     assert long < 1.5 * short
 
 
+def test_region_grid_memory_does_not_grow_with_points(tmp_path):
+    # Holding all 40,000 rows and then their joined text would peak near 10 MB here.
+    tracemalloc.start()
+    try:
+        assert cli.main(["regions", "--rtt-min", "1ms", "--rtt-max", "100ms",
+                         "--rate-min", "100kbps", "--rate-max", "100mbps", "--mss", "1460B",
+                         "--points", "200", "--out", str(tmp_path / "grid.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_floor_prints_value(capsys):
