@@ -3,7 +3,7 @@ window-region grid, and the fairness index used by the metrics layer."""
 
 from collections.abc import Iterator
 
-from .engine import NS_PER_SEC
+from .engine import NS_PER_SEC, ConfigError
 
 
 def pkt_per_rtt_floor(capacity_bps: float, n_flows: int, frame_size: int, rtt_ns: int) -> float:
@@ -17,7 +17,7 @@ def pkt_per_rtt_floor(capacity_bps: float, n_flows: int, frame_size: int, rtt_ns
     for flag, value in zip(("capacity", "flows", "frame", "rtt"),
                            (capacity_bps, n_flows, frame_size, rtt_ns)):
         if value <= 0:
-            raise ValueError(f"{flag}: must be positive, got {value}")
+            raise ConfigError(flag, f"must be positive, got {value}")
     return capacity_bps * (rtt_ns / NS_PER_SEC) / (n_flows * frame_size * 8)
 
 
@@ -33,11 +33,11 @@ MAX_GRID_POINTS = 1_000
 def log_spaced(lo: float, hi: float, points: int, name: str = "range") -> list[float]:
     """`points` values from lo to hi, evenly spaced in log; errors name `{name}-min`/`-max`."""
     if lo <= 0:
-        raise ValueError(f"{name}-min: must be positive, got {lo}")
+        raise ConfigError(f"{name}-min", f"must be positive, got {lo}")
     if hi < lo:
-        raise ValueError(f"{name}-max: must be at least {name}-min ({lo}), got {hi}")
+        raise ConfigError(f"{name}-max", f"must be at least {name}-min ({lo}), got {hi}")
     if points < 1:
-        raise ValueError(f"points: must be at least 1, got {points}")
+        raise ConfigError("points", f"must be at least 1, got {points}")
     if points == 1 or hi == lo:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (points - 1))
@@ -57,9 +57,9 @@ def window_region_grid(
     rate before lookup.  Errors name the bad `subpace regions` flag, before any row.
     """
     if mss <= 0:
-        raise ValueError("mss: must be positive")
+        raise ConfigError("mss", "must be positive")
     if points > MAX_GRID_POINTS:
-        raise ValueError(f"points: must be at most {MAX_GRID_POINTS}, got {points}")
+        raise ConfigError("points", f"must be at most {MAX_GRID_POINTS}, got {points}")
     rtts = log_spaced(*rtt_range_ns, points, "rtt")
     rates = log_spaced(*rate_range_bps, points, "rate")
     # rate == num / den, so a cell's window is exactly num * rtt_ns / one_mss MSS.

@@ -2,6 +2,7 @@
 analytic packet floor, or emit the window-region grid as CSV."""
 
 import argparse
+import os
 import sys
 
 from .analysis import MAX_GRID_POINTS, pkt_per_rtt_floor, window_region_grid
@@ -13,6 +14,7 @@ from .scenario import regions_csv_lines, render_metrics_csv, render_sweep_csv, r
 def _write_output(lines, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a reader that has closed the pipe shows here, inside main
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
@@ -102,7 +104,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ProtocolError, ValueError) as exc:
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
+        return 0
+    except (OSError, ProtocolError, ValueError) as exc:
         print(f"subpace: error: {exc}", file=sys.stderr)
         return 1
 

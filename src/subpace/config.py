@@ -7,20 +7,9 @@ taken in the field's base unit (ns, bit/s, bytes).
 
 import math
 
-from .endpoint import sender_problem
-from .engine import MS, SEC, US
-from .netpath import link_problem
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration; names the offending field."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field_name, self.message = field_name, message
-        super().__init__(f"{field_name}: {message}")
-
-    def __reduce__(self):
-        return ConfigError, (self.field_name, self.message)
+from .endpoint import check_sender
+from .engine import MS, SEC, US, ConfigError
+from .netpath import check_link
 
 
 # Upper bounds that keep a run finite on a desk: each flow costs a sender and a
@@ -101,11 +90,11 @@ REQUIRED = ...  # the default of a key the scenario file must give
 
 # Every scenario key: its file parser, its default and whether it must be positive.
 KEYS = {
-    "capacity": (parse_rate, REQUIRED, False),  # bit/s; link_problem checks it is positive
+    "capacity": (parse_rate, REQUIRED, False),  # bit/s; check_link checks it is positive
     "n_flows": (parse_int, REQUIRED, True),
     "frame_size": (parse_size, REQUIRED, True),  # header-inclusive bytes on the wire
     "smss": (parse_size, REQUIRED, True),  # payload bytes per segment
-    "base_rtt": (parse_time, REQUIRED, False),  # two-way propagation, ns; link_problem checks it
+    "base_rtt": (parse_time, REQUIRED, False),  # two-way propagation, ns; check_link checks it
     "aqm_policy": (parse_text, REQUIRED, False),
     "aqm_target": (parse_time, REQUIRED, True),  # queue-delay target, ns
     "buffer_limit": (parse_size, REQUIRED, False),  # bytes
@@ -156,12 +145,9 @@ class ScenarioConfig:
                                           f"got {self.duration} ns")
         if self.smss >= self.frame_size:
             raise ConfigError("smss", f"must be below frame_size ({self.frame_size})")
-        problem = sender_problem(self.sender_mode, self.cc_variant) or link_problem(
-            self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target, self.aqm_ceiling,
-            self.base_rtt, self.frame_size,
-        )
-        if problem:
-            raise ConfigError(*problem)
+        check_sender(self.sender_mode, self.cc_variant)
+        check_link(self.aqm_policy, self.capacity, self.buffer_limit, self.aqm_target,
+                   self.aqm_ceiling, self.base_rtt, self.frame_size)
         if not 0 <= self.warmup < self.duration:
             raise ConfigError("warmup", "must satisfy 0 <= warmup < duration")
         if not 0 < self.w_min_fraction <= 1:
@@ -182,10 +168,10 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}", f"expected `key = value`, got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
+        key, equals, raw = stripped.partition("=")
         key = key.strip()
+        if not (key and equals):
+            raise ConfigError(f"line {lineno}", f"expected `key = value`, got {line.strip()!r}")
         if key in values:
             raise ConfigError(key, "duplicate key")
         values[key] = key_parser(key)(key, raw.strip())

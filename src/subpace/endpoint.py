@@ -17,7 +17,7 @@ any ACK covering a CE-marked segment.
 
 from collections import deque
 
-from .engine import MS, SEC, Engine, Timer
+from .engine import MS, SEC, ConfigError, Engine, Timer
 from .netpath import Packet
 from .pacing import Pacer, segment_size
 
@@ -41,13 +41,13 @@ class ProtocolError(Exception):
     """An endpoint observed something the protocol forbids (e.g. ACK of unsent data)."""
 
 
-def sender_problem(mode: str, cc_variant: str) -> tuple[str, str] | None:
-    """The first scenario key that names an unknown sender choice and why, or None."""
+def check_sender(mode: str, cc_variant: str) -> None:
+    """Raise ConfigError naming the first scenario key that names an unknown sender choice."""
     if mode not in SENDER_MODES:
-        return "sender_mode", f"expected one of {', '.join(SENDER_MODES)}, got {mode!r}"
+        raise ConfigError("sender_mode", f"expected one of {', '.join(SENDER_MODES)}, got {mode!r}")
     if cc_variant not in CC_VARIANTS:
-        return "cc_variant", f"expected one of {', '.join(CC_VARIANTS)}, got {cc_variant!r}"
-    return None
+        raise ConfigError("cc_variant",
+                          f"expected one of {', '.join(CC_VARIANTS)}, got {cc_variant!r}")
 
 
 class Tuning:
@@ -59,7 +59,7 @@ class Tuning:
                  growth_enabled: bool = True):
         for name, value in (("rto_min", rto_min), ("rto_initial", rto_initial)):
             if not 0 < value <= RTO_MAX:
-                raise ValueError(f"{name}: must be positive and at most {RTO_MAX} ns, got {value}")
+                raise ConfigError(name, f"must be positive and at most {RTO_MAX} ns, got {value}")
         for name, value in zip(self.__slots__, (rto_min, rto_initial, growth_enabled)):
             object.__setattr__(self, name, value)
 
@@ -86,7 +86,7 @@ class TcpSender:
     # shares with its class, which would leave every read on the hint path.
     __slots__ = (
         "engine", "flow_id", "mss", "frame_overhead", "mode", "cc_variant", "ecn_capable",
-        "w_min", "transmit", "tuning", "window", "slow_start", "snd_una", "snd_nxt", "snd_q",
+        "floor", "transmit", "tuning", "window", "slow_start", "snd_una", "snd_nxt", "snd_q",
         "unreclaimed", "srtt", "rttvar", "rto_backoff", "dup_acks", "recovery_until",
         "ece_gate_until", "segments", "retx_head", "_ca_acked", "dctcp_alpha", "_dctcp_acked",
         "_dctcp_marked", "_dctcp_window_end", "pacer", "rto_timer",
@@ -105,9 +105,9 @@ class TcpSender:
         transmit,
         tuning: Tuning = DEFAULT_TUNING,
     ):
-        problem = sender_problem(mode, cc_variant)
-        if problem:
-            raise ValueError("%s: %s" % problem)
+        check_sender(mode, cc_variant)
+        if w_min < 1:
+            raise ConfigError("w_min", f"must be at least 1 byte, got {w_min}")
         self.engine = engine
         self.flow_id = flow_id
         self.mss = mss
@@ -115,9 +115,7 @@ class TcpSender:
         self.mode = mode
         self.cc_variant = cc_variant
         self.ecn_capable = ecn_capable
-        if w_min < 1:
-            raise ValueError(f"w_min: must be at least 1 byte, got {w_min}")
-        self.w_min = w_min
+        self.floor = 2 * mss if mode == BASELINE else w_min  # the least congestion window
         self.transmit = transmit
         self.tuning = tuning
 
@@ -152,10 +150,6 @@ class TcpSender:
     @property
     def in_flight(self) -> int:
         return self.snd_nxt - self.snd_una
-
-    @property
-    def floor(self) -> int:
-        return 2 * self.mss if self.mode == BASELINE else self.w_min
 
     @property
     def conceptual_window(self) -> int:
@@ -349,6 +343,9 @@ class TcpSender:
             self.window += step if step < mss else mss
 
     def _apply_conceptual(self, new_conceptual: int) -> None:
+        """Set the congestion window, raised to the floor, by moving the balance."""
+        if new_conceptual < self.floor:
+            new_conceptual = self.floor
         self.window -= self.conceptual_window - new_conceptual
         self._ca_acked = 0
 
@@ -356,7 +353,7 @@ class TcpSender:
         """Multiplicative decrease with the mode's floor."""
         conceptual = self.conceptual_window
         if conceptual > 0:
-            self._apply_conceptual(max(self.floor, conceptual // 2))
+            self._apply_conceptual(conceptual // 2)
         if self.conceptual_window < self.floor:
             raise ProtocolError(f"flow {self.flow_id}: window fell below its floor")
 
@@ -369,9 +366,7 @@ class TcpSender:
             self.dctcp_alpha += DCTCP_GAIN * (fraction - self.dctcp_alpha)
             conceptual = self.conceptual_window
             if self._dctcp_marked > 0 and conceptual > 0:
-                reduced = conceptual - round(conceptual * self.dctcp_alpha / 2)
-                floor = self.floor
-                self._apply_conceptual(reduced if reduced > floor else floor)
+                self._apply_conceptual(conceptual - round(conceptual * self.dctcp_alpha / 2))
             self._dctcp_acked = 0
             self._dctcp_marked = 0
             self._dctcp_window_end = self.snd_nxt
@@ -403,7 +398,7 @@ class TcpSender:
             conceptual = self.conceptual_window
             if conceptual <= 0:
                 raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
-            self.window = max(self.w_min, conceptual // 2)
+            self.window = max(self.floor, conceptual // 2)
             self.unreclaimed = 0
         self._pump(now)
 

@@ -16,6 +16,17 @@ MS = 1_000_000
 SEC = NS_PER_SEC
 
 
+class ConfigError(ValueError):
+    """A bad setting, from a scenario file, a CLI flag or a constructor; names its field."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field_name, self.message = field_name, message
+        super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        return ConfigError, (self.field_name, self.message)
+
+
 def div_round_half_up(num: int, den: int) -> int:
     """Integer division of non-negative num by positive den, rounding half up."""
     if num < 0 or den <= 0:

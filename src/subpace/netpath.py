@@ -12,7 +12,7 @@ round-trip propagation delay rounded down; the signal-free return path, the rest
 from collections import deque
 from functools import partial
 
-from .engine import NS_PER_SEC, Engine, transmission_time_ns
+from .engine import NS_PER_SEC, ConfigError, Engine, transmission_time_ns
 
 AQM_POLICIES = ("drop-tail", "red-drop", "ramp-mark")
 
@@ -47,7 +47,7 @@ def target_backlog(capacity_bps: int, target_delay_ns: int) -> int:
     return (capacity_bps * (2 * target_delay_ns + 1) - 1) // (16 * NS_PER_SEC)
 
 
-def link_problem(
+def check_link(
     policy: str,
     capacity_bps: int,
     buffer_limit: int,
@@ -55,27 +55,30 @@ def link_problem(
     ramp_ceiling_ns: int,
     prop_rtt_ns: int,
     max_frame: int,
-) -> tuple[str, str] | None:
-    """The first scenario key that makes this AQM link unworkable and why, or None.
+) -> None:
+    """Raise ConfigError naming the first scenario key that makes this AQM link unworkable.
 
     The capacity and the round-trip propagation delay must be positive and the
     policy known, the buffer must hold more than `target_backlog` bytes and one
     whole frame, and a signalling policy's ramp must rise above the target.
     """
     if capacity_bps <= 0:
-        return "capacity", "must be positive"
+        raise ConfigError("capacity", "must be positive")
     if prop_rtt_ns <= 0:
-        return "base_rtt", "must be positive"
+        raise ConfigError("base_rtt", "must be positive")
     if policy not in AQM_POLICIES:
-        return "aqm_policy", f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}"
+        raise ConfigError("aqm_policy",
+                          f"expected one of {', '.join(AQM_POLICIES)}, got {policy!r}")
     target_bytes = target_backlog(capacity_bps, target_delay_ns)
     if buffer_limit <= target_bytes:
-        return "buffer_limit", f"must exceed the target's {target_bytes} B, got {buffer_limit} B"
+        raise ConfigError("buffer_limit",
+                          f"must exceed the target's {target_bytes} B, got {buffer_limit} B")
     if buffer_limit < max_frame:
-        return "buffer_limit", f"must hold one {max_frame} B frame, got {buffer_limit} B"
+        raise ConfigError("buffer_limit",
+                          f"must hold one {max_frame} B frame, got {buffer_limit} B")
     if policy != "drop-tail" and ramp_ceiling_ns <= target_delay_ns:
-        return "aqm_ceiling", f"must exceed the {target_delay_ns} ns target, got {ramp_ceiling_ns}"
-    return None
+        raise ConfigError("aqm_ceiling",
+                          f"must exceed the {target_delay_ns} ns target, got {ramp_ceiling_ns}")
 
 
 class AqmLink:
@@ -98,12 +101,8 @@ class AqmLink:
         max_frame: int,
         deliver,
     ):
-        problem = link_problem(
-            policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns, prop_rtt_ns,
-            max_frame,
-        )
-        if problem:
-            raise ValueError("%s: %s" % problem)
+        check_link(policy, capacity_bps, buffer_limit, target_delay_ns, ramp_ceiling_ns,
+                   prop_rtt_ns, max_frame)
         self.engine = engine
         self.capacity_bps = capacity_bps
         self.buffer_limit = buffer_limit

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from itertools import takewhile
@@ -258,6 +259,33 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name}: assert on lines {asserts}"
+
+
+def test_package_names_no_setting_in_a_plain_value_error():
+    # A bad setting raises ConfigError(field_name, message), so one `except
+    # ConfigError` catches it and `field_name` names it; a plain ValueError is
+    # left for broken preconditions.  Placeholders read as "{}", so a message
+    # like f"{name}: ..." or "%s: %s" is caught too.
+    def template(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.replace("%s", "{}")
+        if isinstance(node, ast.JoinedStr):
+            return "".join(template(part) if isinstance(part, ast.Constant) else "{}"
+                           for part in node.values)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            return template(node.left)
+        return ""
+
+    named = []
+    for path in sorted((SRC / "subpace").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "ValueError" and call.args
+                    and re.match(r"(?:[\w-]|\{\})+: ", template(call.args[0]))):
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
 
 
 def test_package_has_no_generated_functions():

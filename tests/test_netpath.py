@@ -8,9 +8,9 @@ import pytest
 from conftest import log_recorder
 from hypothesis import assume, example, given, settings, strategies as st
 
-from subpace.engine import MS, SEC, US, Engine, transmission_time_ns
+from subpace.engine import MS, SEC, US, ConfigError, Engine, transmission_time_ns
 from subpace.netpath import (
-    DROPPED, MARKED, QUEUED, AqmLink, Packet, link_problem, target_backlog,
+    DROPPED, MARKED, QUEUED, AqmLink, Packet, check_link, target_backlog,
 )
 
 
@@ -223,12 +223,16 @@ def test_signal_probability_is_zero_exactly_up_to_the_target_backlog(capacity, t
 )
 # 40 Gb/s, 5 ms: T*C/8e9 is 25,000,000 B, but the AQM is quiet up to 25,000,002 B.
 @example(40_000_000_000, 5 * MS, -1, 1518)
-def test_link_problem_rejects_a_buffer_exactly_up_to_the_target_backlog(capacity, target, near,
-                                                                      anywhere):
+def test_check_link_rejects_a_buffer_exactly_up_to_the_target_backlog(capacity, target, near,
+                                                                     anywhere):
     edge = target_backlog(capacity, target)
     for buffer_limit in (max(1518, edge + near), anywhere):
-        problem = link_problem("ramp-mark", capacity, buffer_limit, target, 2 * target, MS, 1518)
-        assert (problem is not None and problem[0] == "buffer_limit") == (buffer_limit <= edge)
+        try:
+            check_link("ramp-mark", capacity, buffer_limit, target, 2 * target, MS, 1518)
+            rejected = None
+        except ConfigError as err:
+            rejected = err.field_name
+        assert (rejected == "buffer_limit") == (buffer_limit <= edge)
 
 
 @pytest.mark.parametrize("policy", ["red-drop", "ramp-mark"])

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 import subpace
 from subpace import cli, scenario
-from subpace.analysis import MAX_GRID_POINTS
+from subpace.analysis import MAX_GRID_POINTS, log_spaced, pkt_per_rtt_floor, window_region_grid
 from subpace.config import (
     ConfigError,
     ScenarioConfig,
@@ -22,7 +22,7 @@ from subpace.config import (
     parse_time,
     with_value,
 )
-from subpace.endpoint import Ack, ProtocolError, TcpSender
+from subpace.endpoint import Ack, ProtocolError, TcpSender, Tuning
 from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
@@ -253,6 +253,16 @@ def test_integer_values_parse_without_importing_fractions():
     out = subprocess.run([sys.executable, "-c", code, str(SCENARIO_DIR / "broadband12.txt")],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("line", ["= 5", "n_flows 5"], ids=["no key", "no equals"])
+def test_cli_a_line_that_is_not_key_equals_value_names_its_line_and_fails(tmp_path, capsys,
+                                                                          line):
+    scenario_file = tmp_path / "bad.txt"
+    scenario_file.write_text(f"{line}\n")
+    assert cli.main(["run", str(scenario_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"subpace: error: line 1: expected `key = value`, got {line!r}\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -643,6 +653,22 @@ def test_cli_regions(capsys):
         assert row.endswith(ending)
 
 
+def test_cli_regions_into_a_reader_that_closes_early_exits_cleanly():
+    # 300 points make 90,000 rows, far more than a pipe buffers before the reader closes.
+    command = [sys.executable, "-m", "subpace.cli", "regions", "--rtt-min", "1ms",
+               "--rtt-max", "100ms", "--rate-min", "100kbps", "--rate-max", "100mbps",
+               "--mss", "1460B", "--points", "300"]
+    env = {**os.environ, "PYTHONPATH": str(Path(subpace.__file__).resolve().parents[1])}
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        header = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert header == b"rtt_ns,rate_bps,window_mss,region\n"
+    assert stderr == b""
+
+
 def test_cli_floor_and_regions_take_no_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["floor", "--capacity", "40mbps", "--flows", "12",
@@ -708,3 +734,33 @@ def test_config_error_survives_pickling():
     assert type(err) is ConfigError
     assert err.field_name == "n_flows"
     assert str(err) == "n_flows: must be positive"
+
+
+LINK_ARGS = dict(capacity_bps=10_000_000, buffer_limit=100_000, policy="ramp-mark",
+                 target_delay_ns=5 * MS, ramp_ceiling_ns=10 * MS, prop_rtt_ns=MS,
+                 max_frame=1518, deliver=[print])
+SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
+                   cc_variant="reno-like", ecn_capable=True, w_min=22, transmit=print)
+
+
+@pytest.mark.parametrize("make, field_name, message", [
+    (lambda: AqmLink(Engine(), **{**LINK_ARGS, "policy": "codel"}),
+     "aqm_policy", "expected one of drop-tail, red-drop, ramp-mark, got 'codel'"),
+    (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "cc_variant": "cubic"}),
+     "cc_variant", "expected one of reno-like, dctcp-like, got 'cubic'"),
+    (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "w_min": 0}),
+     "w_min", "must be at least 1 byte, got 0"),
+    (lambda: Tuning(rto_min=0), "rto_min", "must be positive and at most 60000000000 ns, got 0"),
+    (lambda: pkt_per_rtt_floor(0, 12, 1518, 6 * MS), "capacity", "must be positive, got 0"),
+    (lambda: log_spaced(0, 1, 2, "rtt"), "rtt-min", "must be positive, got 0"),
+    (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), 1460, points=1001),
+     "points", "must be at most 1000, got 1001"),
+], ids=["link", "sender", "w_min", "tuning", "floor", "log_spaced", "grid"])
+def test_every_bad_setting_raises_the_one_config_error_naming_its_field(make, field_name,
+                                                                        message):
+    # One `except ConfigError` catches a bad setting from a file, a flag or a constructor.
+    assert subpace.ConfigError is subpace.config.ConfigError is subpace.engine.ConfigError
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field_name == field_name
+    assert str(err.value) == f"{field_name}: {message}"
