@@ -179,7 +179,7 @@ class TcpSender:
     def _next_segment(self) -> tuple[bool, int]:
         """Pending retransmission first, then new data; returns (retx, payload)."""
         if self.retx_head:
-            return True, self.segments[0].size - self.frame_overhead
+            return True, self.segments[0].end_bytes - self.segments[0].seq_bytes
         if self.snd_q > 0:
             return False, segment_size(self.mss, self.snd_q)
         return False, 0
@@ -234,8 +234,8 @@ class TcpSender:
         """
         seq = self.segments[0].seq_bytes if retx else self.snd_nxt
         # Positional, as ce_marked=False, is_retransmission=retx, sent_at=now.
-        packet = Packet(self.flow_id, seq, payload + self.frame_overhead, self.ecn_capable,
-                        False, retx, now)
+        packet = Packet(self.flow_id, seq, seq + payload, payload + self.frame_overhead,
+                        self.ecn_capable, False, retx, now)
         if retx:
             self.segments[0] = packet
             self.retx_head = False
@@ -298,8 +298,8 @@ class TcpSender:
 
     def _take_rtt_sample(self, now: int, acked_to: int) -> None:
         """Pop the segments the ACK covers and sample the RTT of the newest."""
-        segments, overhead, newest = self.segments, self.frame_overhead, None
-        while segments and segments[0].seq_bytes + segments[0].size - overhead <= acked_to:
+        segments, newest = self.segments, None
+        while segments and segments[0].end_bytes <= acked_to:
             newest = segments.popleft()
             self.retx_head = False
         if newest is None or newest.is_retransmission:
@@ -410,13 +410,11 @@ class TcpReceiver:
         self,
         engine: Engine,
         flow_id: int,
-        frame_overhead: int,
         send_ack,
         delayed_acks: bool = True,
     ):
         self.engine = engine
         self.flow_id = flow_id
-        self.frame_overhead = frame_overhead
         self.send_ack = send_ack
         self.ack_every = ACK_EVERY if delayed_acks else 1
 
@@ -428,24 +426,23 @@ class TcpReceiver:
 
     def on_segment(self, packet: Packet) -> None:
         now = self.engine.now
-        payload = packet.size - self.frame_overhead
-        if payload <= 0:
-            raise ProtocolError(f"flow {self.flow_id}: frame smaller than header overhead")
+        seq, end = packet.seq_bytes, packet.end_bytes
+        if end <= seq:
+            raise ProtocolError(f"flow {self.flow_id}: segment carries no payload")
         if packet.ce_marked:
             self.ece_latch = True
 
-        if packet.seq_bytes == self.rcv_nxt:
-            self.rcv_nxt += payload
+        if seq == self.rcv_nxt:
+            self.rcv_nxt = end
             filled_hole = self._absorb_buffered() if self._ooo else False
             self.pending_segments += 1
             if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()
             elif self.delack_timer.deadline is None:
                 self.delack_timer.set(now + DELACK_TIMEOUT)
-        elif packet.seq_bytes > self.rcv_nxt:
-            end = packet.seq_bytes + payload
-            if self._ooo.get(packet.seq_bytes, 0) < end:
-                self._ooo[packet.seq_bytes] = end
+        elif seq > self.rcv_nxt:
+            if self._ooo.get(seq, 0) < end:
+                self._ooo[seq] = end
             self._emit_ack()  # immediate duplicate ACK
         else:
             self._emit_ack()  # stale duplicate; re-state the cumulative point

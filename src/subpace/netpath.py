@@ -22,19 +22,21 @@ DROPPED = "dropped"
 
 
 class Packet:
-    """One simulated segment; size is the header-inclusive frame size.
+    """One simulated segment: payload bytes [seq_bytes, end_bytes) in a `size`-byte frame.
 
     A plain slotted record: `AqmLink.enqueue`, where packets enter the path,
     checks it.
     """
 
-    __slots__ = ("flow_id", "seq_bytes", "size", "ecn_capable", "ce_marked",
+    __slots__ = ("flow_id", "seq_bytes", "end_bytes", "size", "ecn_capable", "ce_marked",
                  "is_retransmission", "sent_at")
 
-    def __init__(self, flow_id: int, seq_bytes: int, size: int, ecn_capable: bool = False,
-                 ce_marked: bool = False, is_retransmission: bool = False, sent_at: int = 0):
+    def __init__(self, flow_id: int, seq_bytes: int, end_bytes: int, size: int,
+                 ecn_capable: bool = False, ce_marked: bool = False,
+                 is_retransmission: bool = False, sent_at: int = 0):
         self.flow_id = flow_id
         self.seq_bytes = seq_bytes
+        self.end_bytes = end_bytes
         self.size = size
         self.ecn_capable = ecn_capable
         self.ce_marked = ce_marked

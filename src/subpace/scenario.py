@@ -123,7 +123,6 @@ class Simulation:
             TcpReceiver(
                 self.engine,
                 flow_id=i,
-                frame_overhead=cfg.frame_overhead,
                 send_ack=self._return_ack,
                 delayed_acks=cfg.delayed_acks,
             )

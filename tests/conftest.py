@@ -1,5 +1,17 @@
+from hypothesis import settings
+
 from subpace.config import KEYS, ScenarioConfig
 from subpace.engine import Recorder
+
+# `pytest --hypothesis-profile=thorough` runs every property test with ten
+# times its examples and no deadline; the default profile is left as it is.
+settings.register_profile("thorough", max_examples=10 * settings.default.max_examples,
+                          deadline=None)
+
+
+def examples(n: int) -> int:
+    """A property test's example count: n by default, ten times n under `thorough`."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 class LoggingRecorder(Recorder):
@@ -52,7 +64,7 @@ def log_sends(sender) -> list[tuple[int, int, int, bool]]:
 
     def spy(packet):
         sends.append((packet.sent_at, packet.seq_bytes,
-                      packet.size - sender.frame_overhead, packet.is_retransmission))
+                      packet.end_bytes - packet.seq_bytes, packet.is_retransmission))
         return transmit(packet)
 
     sender.transmit = spy

@@ -119,7 +119,7 @@ def _interval_rig(window: int, rtt: int, mss: int = 1460):
 
     def wire(packet):
         sends.append(engine.now)
-        ack = Ack(0, packet.seq_bytes + packet.size - 58, False)
+        ack = Ack(0, packet.end_bytes, False)
         engine.schedule(engine.now + rtt, lambda: sender.on_ack(ack))
 
     sender = TcpSender(engine, 0, mss=mss, frame_overhead=58, mode="submss",

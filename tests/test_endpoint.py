@@ -4,11 +4,11 @@ import os
 import re
 import subprocess
 import sys
-from itertools import takewhile
+from itertools import pairwise, takewhile
 from pathlib import Path
 
 import pytest
-from conftest import log_recorder
+from conftest import examples, log_recorder
 from hypothesis import given, settings, strategies as st
 
 from subpace.endpoint import (
@@ -60,10 +60,7 @@ class LoopbackRig:
         self.rtt = rtt
         self.sends = []
         self.sender = make_sender(self.engine, self._transmit, mode=mode, tuning=tuning)
-        self.receiver = TcpReceiver(
-            self.engine, 0, OVERHEAD, self._return_ack,
-            delayed_acks=delayed_acks,
-        )
+        self.receiver = TcpReceiver(self.engine, 0, self._return_ack, delayed_acks=delayed_acks)
 
     def _transmit(self, packet):
         self.sends.append((self.engine.now, packet))
@@ -142,6 +139,13 @@ def test_app_writes_coalesce():
     sender._pump(engine.now)
     engine.run_until(1 * MS)
     assert sent[0].size - OVERHEAD == M  # 1460 from the coalesced 1500
+
+
+def test_app_write_rejects_a_byte_count_that_is_not_positive():
+    sender = make_sender(Engine(), lambda p: None)
+    with pytest.raises(ValueError, match="positive byte count"):
+        sender.app_write(0)
+    assert sender.snd_q == 0
 
 
 def test_bulk_write_accumulates_snd_q():
@@ -400,7 +404,7 @@ SENDER_STEPS = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(st.sampled_from(["baseline", "submss"]), st.sampled_from(["reno-like", "dctcp-like"]),
        st.lists(SENDER_STEPS, max_size=60))
 def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps):
@@ -419,7 +423,7 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps)
         elif step[0] == "ack":  # cumulative ACK to the end of a segment sent before now
             _, count, ece = step
             covered = list(takewhile(lambda p: p.sent_at < engine.now, sender.segments))[:count]
-            acked = covered[-1].seq_bytes + covered[-1].size - OVERHEAD if covered else sender.snd_una
+            acked = covered[-1].end_bytes if covered else sender.snd_una
             sender.on_ack(Ack(0, acked, ece))
         elif step[0] == "dup":
             sender.on_ack(Ack(0, sender.snd_una, step[1]))
@@ -432,6 +436,14 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps)
         assert sender.snd_una <= sender.snd_nxt
         if mode == "baseline":
             assert sender.unreclaimed == sender.in_flight
+        # The retained segments tile the unacknowledged range, each in one frame.
+        segments = sender.segments
+        assert (not segments) == (sender.snd_una == sender.snd_nxt)
+        if segments:
+            assert segments[0].seq_bytes <= sender.snd_una < segments[0].end_bytes
+            assert all(a.end_bytes == b.seq_bytes for a, b in pairwise(segments))
+            assert segments[-1].end_bytes == sender.snd_nxt
+        assert all(p.size == p.end_bytes - p.seq_bytes + OVERHEAD for p in segments)
 
 
 @pytest.mark.parametrize("w_min", [0, -1])
@@ -685,13 +697,14 @@ class ReceiverRig:
     def __init__(self, delayed=True):
         self.engine = Engine()
         self.acks = []
-        self.receiver = TcpReceiver(self.engine, 0, OVERHEAD,
+        self.receiver = TcpReceiver(self.engine, 0,
                                     lambda a: self.acks.append((self.engine.now, a)),
                                     delayed_acks=delayed)
 
     def segment(self, seq, payload=M, ce=False):
-        self.receiver.on_segment(Packet(flow_id=0, seq_bytes=seq, size=payload + OVERHEAD,
-                                        ecn_capable=True, ce_marked=ce))
+        # The receiver reads the byte range, never the frame size.
+        self.receiver.on_segment(Packet(flow_id=0, seq_bytes=seq, end_bytes=seq + payload,
+                                        size=1518, ecn_capable=True, ce_marked=ce))
 
 
 def test_delayed_ack_every_second_segment():
@@ -744,6 +757,14 @@ def test_ece_echo_latched_until_next_ack():
     rig.segment(2 * M)
     rig.segment(3 * M)
     assert rig.acks[1][1].ece is False
+
+
+@pytest.mark.parametrize("payload", [0, -M])
+def test_receiver_rejects_a_segment_that_carries_no_payload(payload):
+    rig = ReceiverRig()
+    with pytest.raises(ProtocolError, match="flow 0: segment carries no payload"):
+        rig.segment(M, payload=payload)
+    assert rig.receiver.rcv_nxt == 0 and rig.acks == []
 
 
 def test_stale_duplicate_segment_reacked():

@@ -2,6 +2,7 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings, strategies as st
 
 from subpace.engine import (
@@ -43,6 +44,9 @@ def test_scheduling_in_the_past_fails_loudly():
     engine.run_until(10)
     with pytest.raises(ValueError):
         engine.schedule(9, lambda: None)
+    with pytest.raises(ValueError, match="before current t=10"):
+        engine.run_until(9)
+    assert engine.now == 10
 
 
 def test_run_until_clock_ends_at_deadline_with_empty_queue():
@@ -310,7 +314,7 @@ def run_timer_plan(timer_cls, steps, reactions, engine=None):
     return log, deadlines
 
 
-@settings(max_examples=400)
+@settings(max_examples=examples(400))
 @given(st.lists(plan_steps, max_size=30), timer_reactions)
 def test_timer_fires_in_the_same_order_as_the_eager_reference(steps, reactions):
     assert run_timer_plan(Timer, steps, reactions) == run_timer_plan(EagerTimer, steps, reactions)
@@ -341,7 +345,7 @@ class CountingTimer(Timer):
         super()._fire()
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(st.lists(plan_steps, max_size=30), timer_reactions)
 def test_cancelled_entries_never_reach_their_callable(steps, reactions):
     engine = CountingEngine()

@@ -5,7 +5,7 @@ from functools import partial
 from itertools import accumulate
 
 import pytest
-from conftest import log_recorder
+from conftest import examples, log_recorder
 from hypothesis import assume, example, given, settings, strategies as st
 
 from subpace.engine import MS, SEC, US, ConfigError, Engine, transmission_time_ns
@@ -30,7 +30,7 @@ def make_link(engine, delivered, policy="ramp-mark", capacity=40_000_000,
 
 
 def frame(seq=0, size=1518, ecn=True):
-    return Packet(flow_id=0, seq_bytes=seq, size=size, ecn_capable=ecn)
+    return Packet(flow_id=0, seq_bytes=seq, end_bytes=seq + size, size=size, ecn_capable=ecn)
 
 
 def test_serialization_time_oracle():
@@ -161,14 +161,15 @@ def test_packet_validation():
     engine = Engine()
     link = make_link(engine, [])
     with pytest.raises(ValueError):
-        link.enqueue(Packet(flow_id=0, seq_bytes=0, size=0))
+        link.enqueue(Packet(flow_id=0, seq_bytes=0, end_bytes=0, size=0))
     with pytest.raises(ValueError):
-        link.enqueue(Packet(flow_id=0, seq_bytes=0, size=100, ecn_capable=False, ce_marked=True))
+        link.enqueue(Packet(flow_id=0, seq_bytes=0, end_bytes=100, size=100, ecn_capable=False,
+                            ce_marked=True))
     with pytest.raises(ValueError):
         link.enqueue(frame(size=1519))
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=examples(40))
 @given(st.lists(st.sampled_from([400, 900, 1518]), min_size=1, max_size=120),
        st.integers(min_value=0, max_value=2**31))
 def test_byte_conservation(sizes, seed):
@@ -178,7 +179,7 @@ def test_byte_conservation(sizes, seed):
     log = log_recorder(engine)
     offset, dropped = 0, []
     for size in sizes:
-        packet = Packet(flow_id=0, seq_bytes=offset, size=size, ecn_capable=False)
+        packet = frame(seq=offset, size=size, ecn=False)
         if link.enqueue(packet) == DROPPED:
             dropped.append(size)
         offset += size
@@ -315,7 +316,7 @@ def run_arrival_plan(link_cls, policy, seed, plan, capacity=40_000_000):
     dispositions, now = [], 0
     for i, (gap, size, ecn) in enumerate(plan):
         now += gap
-        packet = Packet(flow_id=i % 3, seq_bytes=i, size=size, ecn_capable=ecn)
+        packet = Packet(flow_id=i % 3, seq_bytes=i, end_bytes=i + 1, size=size, ecn_capable=ecn)
         engine.schedule(now, lambda p=packet: dispositions.append(link.enqueue(p)))
     engine.run_until(now + SEC)
     link.retire(engine.now)
@@ -323,7 +324,7 @@ def run_arrival_plan(link_cls, policy, seed, plan, capacity=40_000_000):
 
 
 @pytest.mark.parametrize("policy", ["drop-tail", "red-drop", "ramp-mark"])
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=examples(150))
 @given(st.integers(min_value=0, max_value=2**31),
        st.lists(st.tuples(st.integers(min_value=0, max_value=300_000),
                           st.sampled_from([64, 400, 900, 1518]), st.booleans()),
@@ -358,7 +359,7 @@ def test_each_admitted_frame_makes_one_backlog_call_and_each_retired_frame_one_d
             assert row[4] == backlog
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=examples(30))
 @given(st.integers(min_value=10**6, max_value=10**11), st.integers(min_value=64, max_value=1518))
 @example(10_000_000_000, 1518)  # 1214.4 ns a frame; whole-ns frames carried 1.00033 x capacity
 def test_back_to_back_frames_depart_within_one_frame_of_the_capacity(capacity, size):
@@ -368,7 +369,7 @@ def test_back_to_back_frames_depart_within_one_frame_of_the_capacity(capacity, s
                    deliver=[lambda p: None])
     log = log_recorder(engine)
     for i in range(frames):
-        assert link.enqueue(Packet(flow_id=0, seq_bytes=i * size, size=size)) == QUEUED
+        assert link.enqueue(frame(seq=i * size, size=size, ecn=False)) == QUEUED
     link.retire(10**12)
     departures = log.of("departure")
     assert len(departures) == frames

@@ -40,6 +40,13 @@ def test_pacing_delay_requires_positive_window():
         pacing_delay(1518, -400, 6 * MS)
 
 
+def test_pacing_delay_requires_a_positive_segment_and_a_non_negative_rtt():
+    with pytest.raises(ValueError, match="segment size must be positive"):
+        pacing_delay(0, 1, 1)
+    with pytest.raises(ValueError, match="rtt must be non-negative"):
+        pacing_delay(1, 1, -1)
+
+
 def test_pacing_delay_huge_values_exact():
     # Wide-integer formulation: no precision loss at extreme magnitudes.
     s, w, r = 10**9, 7, 60 * 10**9
@@ -82,10 +89,10 @@ def test_monotone_non_increasing_in_window():
 
 
 class PacerHarness:
-    def __init__(self):
+    def __init__(self, rtt=6 * MS):
         self.engine = Engine()
         self.fired_at = []
-        self.pacer = Pacer(self.engine, rtt=lambda: 6 * MS,
+        self.pacer = Pacer(self.engine, rtt=lambda: rtt,
                            on_ready=lambda: self.fired_at.append(self.engine.now))
 
 
@@ -109,6 +116,32 @@ def test_pacer_parks_on_non_positive_window():
     assert not h.pacer.waiting
     h.engine.run_until(50 * MS)
     assert h.fired_at == []
+
+
+def test_pacer_request_while_a_wait_is_pending_keeps_the_deadline():
+    # The sender asks the pacer only when no wait is pending; these guards
+    # keep a direct call from arming a second wait or moving the first.
+    h = PacerHarness()
+    h.pacer.request(0, 1460, 730)
+    deadline = h.pacer.timer.deadline
+    assert h.pacer.request(1 * MS, 1460, 5000) is False  # even a window that covers the segment
+    assert (h.pacer.epoch, h.pacer.timer.deadline) == (0, deadline)
+    h.engine.run_until(20 * MS)
+    assert h.fired_at == [deadline]
+
+
+def test_pacer_window_change_with_nothing_pending_arms_nothing():
+    h = PacerHarness()
+    h.pacer.window_changed(0, 1460, 730)
+    assert not h.pacer.waiting and h.pacer.epoch is None
+    h.engine.run_until(50 * MS)
+    assert h.fired_at == []
+
+
+def test_pacer_with_a_zero_rtt_sends_at_once_and_arms_nothing():
+    h = PacerHarness(rtt=0)
+    assert h.pacer.request(0, 1460, 1) is True
+    assert not h.pacer.waiting and h.pacer.epoch is None
 
 
 def test_window_increase_moves_wait_earlier():

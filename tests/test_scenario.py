@@ -755,7 +755,20 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
     (lambda: log_spaced(0, 1, 2, "rtt"), "rtt-min", "must be positive, got 0"),
     (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), 1460, points=1001),
      "points", "must be at most 1000, got 1001"),
-], ids=["link", "sender", "w_min", "tuning", "floor", "log_spaced", "grid"])
+    (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), mss=0), "mss", "must be positive"),
+    (lambda: parse_scenario_text(SMALL + "capacity = 20 mbps\n"), "capacity", "duplicate key"),
+    (lambda: parse_scenario_text(SMALL + "ecn = maybe\n"),
+     "ecn", "expected on/off, got 'maybe'"),
+    (lambda: parse_scenario_text(SMALL.replace("10 mbps", "fast")),
+     "capacity", "cannot parse 'fast'"),
+    (lambda: parse_scenario_text(SMALL + "w_min_fraction = lots\n"),
+     "w_min_fraction", "expected a number, got 'lots'"),
+    (lambda: parse_scenario_text(SMALL + "w_min_fraction = 2\n"),
+     "w_min_fraction", "must be in (0, 1]"),
+    (lambda: parse_scenario_text(SMALL + "w_min_fraction = nan\n"),
+     "w_min_fraction", "must be in (0, 1]"),
+], ids=["link", "sender", "w_min", "tuning", "floor", "log_spaced", "grid", "grid_mss",
+        "duplicate", "bool", "unit", "float", "fraction_above_one", "fraction_nan"])
 def test_every_bad_setting_raises_the_one_config_error_naming_its_field(make, field_name,
                                                                         message):
     # One `except ConfigError` catches a bad setting from a file, a flag or a constructor.
