@@ -5,10 +5,10 @@ clocking balance: a new-data send moves its bytes into `unreclaimed`, the
 credit in flight, and a cumulative ACK moves the acked bytes back.  The sum,
 `conceptual_window`, is the congestion window; slow start ends at the first
 congestion signal.  The sub-MSS change is the three places that read the
-mode: `floor` (two segments, or `w_min` bytes below one); `_pump` (a short
-window stalls baseline, while submss paces the deficit into a timed wait and
-lets `window` go negative); and `_on_rto` (baseline collapses to the floor
-and doubles the timer, submss halves and lets the growing wait back off).
+mode: `floor` (two segments, or `w_min` bytes below one), `_pump` and
+`_on_rto`.  Only `_apply_conceptual` lowers the window, so `conceptual_window
+>= floor >= 1` holds throughout, and an RTO fires only with data in flight:
+`on_ack`, the one mover of `snd_una`, stops the timer when `in_flight` is 0.
 
 The receiver implements standard delayed ACKs (every n segments or on a
 timer), immediate duplicate ACKs for out-of-order arrivals, and ECE echo for
@@ -106,8 +106,12 @@ class TcpSender:
         tuning: Tuning = DEFAULT_TUNING,
     ):
         check_sender(mode, cc_variant)
+        if mss < 1:
+            raise ConfigError("mss", f"must be at least 1 byte, got {mss}")
         if w_min < 1:
             raise ConfigError("w_min", f"must be at least 1 byte, got {w_min}")
+        if w_min > mss:
+            raise ConfigError("w_min", f"must be at most one segment ({mss} bytes), got {w_min}")
         self.engine = engine
         self.flow_id = flow_id
         self.mss = mss
@@ -331,8 +335,6 @@ class TcpSender:
         self._ca_acked += advance
         while True:
             conceptual = self.conceptual_window
-            if conceptual <= 0:
-                break
             threshold = conceptual if conceptual > mss else mss
             if self._ca_acked < threshold:
                 break
@@ -351,11 +353,7 @@ class TcpSender:
 
     def _reduce(self) -> None:
         """Multiplicative decrease with the mode's floor."""
-        conceptual = self.conceptual_window
-        if conceptual > 0:
-            self._apply_conceptual(conceptual // 2)
-        if self.conceptual_window < self.floor:
-            raise ProtocolError(f"flow {self.flow_id}: window fell below its floor")
+        self._apply_conceptual(self.conceptual_window // 2)
 
     def _dctcp_account(self, advance: int, ece: bool) -> None:
         self._dctcp_acked += advance
@@ -364,8 +362,8 @@ class TcpSender:
         if self.snd_una >= self._dctcp_window_end and self._dctcp_acked > 0:
             fraction = self._dctcp_marked / self._dctcp_acked
             self.dctcp_alpha += DCTCP_GAIN * (fraction - self.dctcp_alpha)
-            conceptual = self.conceptual_window
-            if self._dctcp_marked > 0 and conceptual > 0:
+            if self._dctcp_marked > 0:
+                conceptual = self.conceptual_window
                 self._apply_conceptual(conceptual - round(conceptual * self.dctcp_alpha / 2))
             self._dctcp_acked = 0
             self._dctcp_marked = 0
@@ -381,25 +379,19 @@ class TcpSender:
 
     def _on_rto(self) -> None:
         now = self.engine.now
-        if self.in_flight == 0:
-            return
         self.engine.recorder.rto(now, self.flow_id)
         self.slow_start = False
-        self._ca_acked = 0
         self.recovery_until = self.snd_nxt
         self.retx_head = bool(self.segments)
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
-            self.window = self.floor - self.unreclaimed
+            self._apply_conceptual(0)
             self.rto_backoff = min(self.rto_backoff * 2, 256)
         else:
             # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
             # and let the pacer's growing wait replace the timer backoff.
-            conceptual = self.conceptual_window
-            if conceptual <= 0:
-                raise ProtocolError(f"flow {self.flow_id}: clocking conservation violated")
-            self.window = max(self.floor, conceptual // 2)
-            self.unreclaimed = 0
+            self.window, self.unreclaimed = self.conceptual_window, 0
+            self._apply_conceptual(self.window // 2)
         self._pump(now)
 
 

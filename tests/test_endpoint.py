@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import examples, log_recorder
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subpace.endpoint import (
     DEFAULT_TUNING,
@@ -330,6 +330,22 @@ PER_PACKET_FUNCTIONS = {
 }
 
 
+def test_only_apply_conceptual_reads_the_senders_floor():
+    # The floor is applied in one place, so the window cannot be lowered
+    # past it by a second copy of the clamp.
+    path = SRC / "subpace" / "endpoint.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    sender = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "TcpSender")
+    uses = {}
+    for method in (node for node in sender.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(method):
+            if (isinstance(node, ast.Attribute) and node.attr == "floor"
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                uses.setdefault(type(node.ctx).__name__, set()).add(method.name)
+    assert uses == {"Load": {"_apply_conceptual"}, "Store": {"__init__"}}
+
+
 def test_per_packet_functions_call_no_min_or_max_and_pass_no_keywords():
     for module, names in PER_PACKET_FUNCTIONS.items():
         path = SRC / "subpace" / module
@@ -378,24 +394,6 @@ def test_send_to_minus_mss_raises():
         sender._send(engine.now, False, M)  # would leave the window at exactly -MSS
 
 
-@pytest.mark.parametrize("mode", ["baseline", "submss"])
-def test_reduce_below_floor_raises(mode):
-    engine = Engine()
-    sender = make_sender(engine, lambda p: None, mode=mode)
-    sender.window = 0
-    with pytest.raises(ProtocolError):
-        sender._reduce()
-
-
-def test_submss_rto_without_clocking_credit_raises():
-    engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
-    sender.snd_nxt = M  # data in flight
-    sender.window = 0  # and no credit for it anywhere
-    with pytest.raises(ProtocolError):
-        sender._on_rto()
-
-
 SENDER_STEPS = st.one_of(
     st.tuples(st.just("write"), st.integers(min_value=1, max_value=20 * M)),
     st.tuples(st.just("ack"), st.integers(min_value=0, max_value=8), st.booleans()),
@@ -406,8 +404,10 @@ SENDER_STEPS = st.one_of(
 
 @settings(deadline=None, max_examples=examples(60))
 @given(st.sampled_from(["baseline", "submss"]), st.sampled_from(["reno-like", "dctcp-like"]),
-       st.lists(SENDER_STEPS, max_size=60))
-def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps):
+       st.integers(1, M), st.lists(SENDER_STEPS, max_size=60))
+@example("baseline", "reno-like", 1, [("write", 1), ("wait", 50 * MS)])  # an RTO fires
+@example("baseline", "reno-like", 1, [("write", M), ("wait", MS), ("ack", 1, False)])  # pipe drains
+def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min, steps):
     engine = Engine()
     tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
     balances = []  # the window right after each new-data send
@@ -416,7 +416,8 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps)
         if not packet.is_retransmission:
             balances.append(sender.window)
 
-    sender = make_sender(engine, transmit, mode=mode, cc=cc, tuning=tuning)
+    sender = make_sender(engine, transmit, mode=mode, cc=cc, tuning=tuning, w_min=w_min)
+    assert sender.conceptual_window >= sender.floor >= 1
     for step in steps:
         if step[0] == "write":
             sender.app_write(step[1])
@@ -432,7 +433,8 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps)
         # After a reduction with a full pipe the balance sits far below zero;
         # only a new-data send is bound to leave it above -MSS.
         assert all(balance > -M for balance in balances)
-        assert sender.conceptual_window >= sender.floor
+        assert sender.conceptual_window >= sender.floor >= 1
+        assert sender.rto_timer.deadline is None or sender.in_flight > 0
         assert sender.snd_una <= sender.snd_nxt
         if mode == "baseline":
             assert sender.unreclaimed == sender.in_flight
@@ -446,8 +448,8 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, steps)
         assert all(p.size == p.end_bytes - p.seq_bytes + OVERHEAD for p in segments)
 
 
-@pytest.mark.parametrize("w_min", [0, -1])
-def test_sender_rejects_w_min_below_one_byte(w_min):
+@pytest.mark.parametrize("w_min", [0, -1, M + 1, 3 * M])
+def test_sender_rejects_w_min_outside_one_byte_to_one_segment(w_min):
     with pytest.raises(ValueError, match="w_min"):
         make_sender(Engine(), lambda p: None, w_min=w_min)
 

@@ -27,6 +27,7 @@ from subpace.engine import MS, SEC, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
     Meter,
+    ScenarioMetrics,
     Simulation,
     derive_sweep_seed,
     render_metrics_csv,
@@ -729,6 +730,16 @@ def test_config_and_metrics_survive_pickling_equal():
     assert pickle.loads(pickle.dumps(metrics)) == metrics
 
 
+def test_metrics_repr_names_every_field_and_records_compare_unequal_to_other_types():
+    fields = dict(mean_queue_delay_ns=1, p95_queue_delay_ns=2, per_flow_throughput_bps=[3.0],
+                  jain_fairness=1.0, total_drops=4, total_marks=5, total_rtos=6,
+                  mean_pkts_per_rtt_per_flow=7.5)
+    metrics = ScenarioMetrics(**fields)
+    assert repr(metrics) == f"ScenarioMetrics({fields})"
+    for record in (metrics, small_config()):
+        assert record != object() and not record == object()
+
+
 def test_config_error_survives_pickling():
     err = pickle.loads(pickle.dumps(ConfigError("n_flows", "must be positive")))
     assert type(err) is ConfigError
@@ -750,6 +761,10 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
      "cc_variant", "expected one of reno-like, dctcp-like, got 'cubic'"),
     (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "w_min": 0}),
      "w_min", "must be at least 1 byte, got 0"),
+    (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "w_min": 1461}),
+     "w_min", "must be at most one segment (1460 bytes), got 1461"),
+    (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "mss": 0}),
+     "mss", "must be at least 1 byte, got 0"),
     (lambda: Tuning(rto_min=0), "rto_min", "must be positive and at most 60000000000 ns, got 0"),
     (lambda: pkt_per_rtt_floor(0, 12, 1518, 6 * MS), "capacity", "must be positive, got 0"),
     (lambda: log_spaced(0, 1, 2, "rtt"), "rtt-min", "must be positive, got 0"),
@@ -767,8 +782,9 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
      "w_min_fraction", "must be in (0, 1]"),
     (lambda: parse_scenario_text(SMALL + "w_min_fraction = nan\n"),
      "w_min_fraction", "must be in (0, 1]"),
-], ids=["link", "sender", "w_min", "tuning", "floor", "log_spaced", "grid", "grid_mss",
-        "duplicate", "bool", "unit", "float", "fraction_above_one", "fraction_nan"])
+], ids=["link", "sender", "w_min", "w_min_above_mss", "mss", "tuning", "floor", "log_spaced",
+        "grid", "grid_mss", "duplicate", "bool", "unit", "float", "fraction_above_one",
+        "fraction_nan"])
 def test_every_bad_setting_raises_the_one_config_error_naming_its_field(make, field_name,
                                                                         message):
     # One `except ConfigError` catches a bad setting from a file, a flag or a constructor.
