@@ -396,7 +396,15 @@ class TcpSender:
 
 
 class TcpReceiver:
-    """In-order reassembly with delayed ACKs and ECE echo."""
+    """In-order reassembly with delayed ACKs and ECE echo.
+
+    The delayed-ACK timer runs exactly while a segment awaits its ACK:
+    `(delack_timer.deadline is not None) == (pending_segments > 0)`.  Only
+    `on_segment` arms it, when `pending_segments` has just become 1; only
+    `_emit_ack` zeroes `pending_segments`, and it stops the timer.  With
+    delayed ACKs off every in-order segment is ACKed at once, so the timer is
+    never armed.  The timer's action is therefore `_emit_ack` itself.
+    """
 
     def __init__(
         self,
@@ -414,7 +422,7 @@ class TcpReceiver:
         self.pending_segments = 0
         self.ece_latch = False
         self._ooo: dict[int, int] = {}  # start -> end of buffered ranges
-        self.delack_timer = Timer(engine, self._on_delack_timer, "delack")
+        self.delack_timer = Timer(engine, self._emit_ack, "delack")
 
     def on_segment(self, packet: Packet) -> None:
         now = self.engine.now
@@ -430,7 +438,7 @@ class TcpReceiver:
             self.pending_segments += 1
             if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()
-            elif self.delack_timer.deadline is None:
+            else:
                 self.delack_timer.set(now + DELACK_TIMEOUT)
         elif seq > self.rcv_nxt:
             if self._ooo.get(seq, 0) < end:
@@ -446,10 +454,6 @@ class TcpReceiver:
             self.rcv_nxt = end  # past rcv_nxt, since every payload is positive
             filled = True
         return filled
-
-    def _on_delack_timer(self) -> None:
-        if self.pending_segments > 0:
-            self._emit_ack()
 
     def _emit_ack(self) -> None:
         self.delack_timer.stop()

@@ -205,7 +205,7 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
 
     Every value is parsed and every row's config built before any row runs,
     so a bad value fails at once, and an unknown key fails even with no values.
-    The rows then run in worker processes, one per row and at most one per CPU.
+    The rows then run in worker processes, one per row and at most one per usable CPU.
     """
     parse = key_parser(field_name)
     raw_values = list(raw_values)
@@ -220,7 +220,10 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
     # Imported here, not at the top: it takes about 25 ms, near the package's own import time.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(len(configs), os.cpu_count() or 1)) as pool:
+    # Count the CPUs this process may run on: a cpuset can allow fewer than the host has.
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ProcessPoolExecutor(min(len(configs), cpus)) as pool:
         return list(zip(raw_values, pool.map(run_scenario, configs)))
 
 

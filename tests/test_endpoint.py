@@ -227,6 +227,21 @@ def test_slow_start_exits_on_first_signal():
     assert not sender.slow_start
 
 
+@pytest.mark.parametrize("mode", ["baseline", "submss"])
+def test_slow_start_grows_by_the_bytes_acked_below_one_segment(mode):
+    # RFC 5681 byte counting: each ACK grows the window by what it covers, at most one MSS.
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, mode=mode)
+    sender.app_write(M + 100)
+    engine.run_until(1 * MS)
+    assert sender.snd_nxt == M + 100
+    sender.on_ack(Ack(0, M, False))
+    assert sender.conceptual_window == 3 * M
+    sender.on_ack(Ack(0, M + 100, False))
+    assert sender.slow_start
+    assert sender.conceptual_window == 3 * M + 100
+
+
 def test_dctcp_alpha_update_and_cut():
     engine = Engine()
     sender = make_sender(engine, lambda p: None, cc="dctcp-like", tuning=NO_GROWTH)
@@ -751,6 +766,16 @@ def test_hole_fill_acks_immediately_and_jumps():
     assert rig.acks[-1][1].ack_bytes == 4 * M
 
 
+def test_shorter_copy_of_a_buffered_segment_keeps_the_longer_range():
+    rig = ReceiverRig()
+    rig.segment(M, payload=2 * M)  # out of order: buffers [M, 3M)
+    rig.segment(M)  # a shorter copy from the same start, [M, 2M)
+    assert [a.ack_bytes for _, a in rig.acks] == [0, 0]  # each re-ACKed at once
+    rig.segment(0)  # fills the hole
+    assert rig.receiver.rcv_nxt == 3 * M
+    assert rig.acks[-1][1].ack_bytes == 3 * M
+
+
 def test_ece_echo_latched_until_next_ack():
     rig = ReceiverRig()
     rig.segment(0, ce=True)
@@ -774,6 +799,68 @@ def test_stale_duplicate_segment_reacked():
     rig.segment(0)
     rig.segment(0)  # spurious retransmission
     assert [a.ack_bytes for _, a in rig.acks] == [M, M]
+
+
+RECEIVER_STEPS = st.one_of(
+    st.tuples(st.just("in_order"), st.integers(1, M), st.booleans()),
+    # from rcv_nxt + gap
+    st.tuples(st.just("ahead"), st.integers(1, 4 * M), st.integers(1, M), st.booleans()),
+    # again from the start of a segment sent ahead, any length
+    st.tuples(st.just("again"), st.integers(0, 7), st.integers(1, M), st.booleans()),
+    # from below rcv_nxt, ending before or past it
+    st.tuples(st.just("stale"), st.integers(1, 4 * M), st.integers(1, M), st.booleans()),
+    st.tuples(st.just("wait"), st.integers(0, 100 * MS)),
+)
+
+
+def contiguous_prefix(ranges) -> int:
+    """The end of the byte run from 0 that the ranges cover without a gap."""
+    edge = 0
+    for seq, end in sorted(ranges):
+        if seq > edge:
+            break
+        edge = max(edge, end)
+    return edge
+
+
+@settings(deadline=None, max_examples=examples(100))
+@given(st.booleans(), st.lists(RECEIVER_STEPS, max_size=50))
+@example(True, [("in_order", M, False), ("wait", 50 * MS)])  # the delayed-ACK timer fires
+def test_receiver_invariants_hold_for_any_segment_sequence(delayed, steps):
+    engine = Engine()
+    delivered, ahead = [], []  # every byte range handed over; starts sent past rcv_nxt
+    ce_since_ack = False
+
+    def send_ack(ack):
+        nonlocal ce_since_ack
+        assert ack.ack_bytes == receiver.rcv_nxt <= contiguous_prefix(delivered)
+        assert ack.ece == ce_since_ack
+        ce_since_ack = False
+
+    receiver = TcpReceiver(engine, 0, send_ack, delayed_acks=delayed)
+    for step in steps:
+        rcv_nxt = receiver.rcv_nxt
+        if step[0] == "wait":
+            engine.run_until(engine.now + step[1])
+        else:
+            *_, payload, ce = step
+            if step[0] == "in_order":
+                seq = rcv_nxt
+            elif step[0] == "ahead":
+                seq = rcv_nxt + step[1]
+                ahead.append(seq)
+            elif step[0] == "again":
+                starts = [seq for seq in ahead if seq > rcv_nxt]
+                seq = starts[step[1] % len(starts)] if starts else rcv_nxt
+            else:
+                seq = max(0, rcv_nxt - step[1])
+            delivered.append((seq, seq + payload))
+            ce_since_ack |= ce
+            receiver.on_segment(Packet(0, seq, seq + payload, payload + OVERHEAD, True, ce))
+        # The delayed-ACK timer runs exactly while a segment awaits its ACK.
+        assert (receiver.delack_timer.deadline is not None) == (receiver.pending_segments > 0)
+        assert receiver.pending_segments < receiver.ack_every
+        assert receiver.rcv_nxt >= rcv_nxt
 
 
 # -- try_send contract ----------------------------------------------------------

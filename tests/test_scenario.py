@@ -349,6 +349,43 @@ def test_sweep_empty_values_gives_header_only(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("affinity, cpu_count, workers", [
+    ({3, 5}, 8, 2),  # a cpuset smaller than the host: its size, not the host's CPUs
+    ({0}, 8, 1),
+    (set(range(16)), 8, 5),  # never more workers than rows
+    (None, 4, 4),  # no affinity call: the host's CPUs
+    (None, None, 1),
+])
+def test_sweep_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, workers):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenario, "run_scenario", lambda cfg: cfg.n_flows)
+    rows = sweep(small_config(), "n_flows", ["1", "2", "3", "4", "5"])
+    assert pools == [workers]
+    assert rows == [(str(n), n) for n in range(1, 6)]
+
+
 def test_sweep_unknown_field_is_an_error():
     with pytest.raises(ConfigError):
         sweep(small_config(), "not_a_key", ["1"])

@@ -1,0 +1,124 @@
+"""Exact cost of short runs of the shipped scenarios, in counts that do not drift.
+
+    python3 tools/cost.py            # calls and bytecodes per run, as a table
+    python3 tools/cost.py --json     # the call counts COST.json pins, as JSON
+    python3 tools/cost.py --write    # record those call counts in COST.json
+
+Each run is 2 s of simulated time after a 0.5 s warmup, at seed 1, counted
+from `Simulation` construction to its metrics.  Python calls are the sum of
+the call counts in `cProfile.Profile().getstats()`, builtins included, in
+total and by the `src/subpace` module that defines the callee ("other" for
+builtins and the standard library).  Bytecodes are the opcodes executed in
+Python frames, counted by a `sys.settrace` hook with `f_trace_opcodes`; they
+take seconds per run, so only the table shows them.  Wall time moves with the
+host, these counts move only with the code and the interpreter, so COST.json
+keys them by interpreter version.
+"""
+
+import argparse
+import cProfile
+import json
+import platform
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+LEDGER = ROOT / "COST.json"
+SCENARIOS = ("broadband12_submss", "broadband12_reddrop", "broadband12")
+WARMUP_NS, DURATION_NS, SEED = 500_000_000, 2_000_000_000, 1
+
+sys.path.insert(0, str(SRC))
+
+from subpace.config import load_scenario, with_value  # noqa: E402
+from subpace.scenario import Simulation  # noqa: E402
+
+
+def interpreter() -> str:
+    """The ledger key: counts differ between interpreters, not between hosts."""
+    return f"{sys.implementation.name}-{platform.python_version()}"
+
+
+def config(name: str):
+    cfg = load_scenario(ROOT / "scenarios" / f"{name}.txt")
+    cfg = with_value(cfg, "seed", SEED)
+    cfg = with_value(cfg, "warmup", WARMUP_NS)
+    return with_value(cfg, "duration", DURATION_NS)
+
+
+def module_of(code) -> str:
+    """The `src/subpace` module that defines `code`, or "other"."""
+    path = Path(getattr(code, "co_filename", ""))
+    return path.stem if path.parent == SRC / "subpace" else "other"
+
+
+def count_calls(cfg) -> dict:
+    # No per-caller counts: they cost time, and each function's total is the same.
+    profiler = cProfile.Profile(subcalls=False)
+    profiler.enable()
+    Simulation(cfg).run().metrics()
+    profiler.disable()
+    by_module = Counter()
+    for entry in profiler.getstats():
+        by_module[module_of(entry.code)] += entry.callcount
+    return {"calls": sum(by_module.values()), "calls_by_module": dict(sorted(by_module.items()))}
+
+
+def count_bytecodes(cfg) -> dict:
+    by_module = Counter()
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        module = module_of(frame.f_code)
+
+        def on_opcode(frame, event, arg):
+            if event == "opcode":
+                by_module[module] += 1
+            return on_opcode
+
+        return on_opcode
+
+    sys.settrace(on_call)
+    try:
+        Simulation(cfg).run().metrics()
+    finally:
+        sys.settrace(None)
+    return {"bytecodes": sum(by_module.values()),
+            "bytecodes_by_module": dict(sorted(by_module.items()))}
+
+
+def call_counts() -> dict:
+    """Every scenario's call counts under this interpreter's key, as COST.json holds them."""
+    return {interpreter(): {name: count_calls(config(name)) for name in SCENARIOS}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="print the call counts as JSON")
+    output.add_argument("--write", action="store_true", help="record the call counts in COST.json")
+    args = parser.parse_args()
+
+    if args.json:
+        print(json.dumps(call_counts(), sort_keys=True))
+    elif args.write:
+        ledger = json.loads(LEDGER.read_text(encoding="utf-8")) if LEDGER.exists() else {}
+        ledger.update(call_counts())
+        LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    else:
+        print(f"{interpreter()}: {DURATION_NS / 1e9:g} s runs, "
+              f"{WARMUP_NS / 1e9:g} s warmup, seed {SEED}")
+        for name in SCENARIOS:
+            cfg = config(name)
+            counts = {**count_calls(cfg), **count_bytecodes(cfg)}
+            print(f"\n{name}")
+            for kind in ("calls", "bytecodes"):
+                print(f"  {kind:<10} {counts[kind]:>12,}")
+                for module, n in counts[f"{kind}_by_module"].items():
+                    print(f"    {module:<8} {n:>12,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
