@@ -10,6 +10,15 @@ mode: `floor` (two segments, or `w_min` bytes below one), `_pump` and
 >= floor >= 1` holds throughout, and an RTO fires only with data in flight:
 `on_ack`, the one mover of `snd_una`, stops the timer when `in_flight` is 0.
 
+The retained `segments` tile `[snd_una, snd_nxt)`: `_send` appends at
+`snd_nxt` and an ACK pops only the segments it covers whole.  So a segment is
+held exactly while data is in flight, and since `recovery_until <= snd_nxt`,
+`snd_una < recovery_until` implies one.  A pacer wait is pending only while
+`_next_segment` has a payload: `_pump` arms or rebases a wait only after
+`payload > 0`, nothing sends while it is pending, and every call that can
+change the payload (`on_ack`, `_on_rto`, `app_write`) ends in `_pump`, which
+stops the timer when the payload is 0.
+
 The receiver implements standard delayed ACKs (every n segments or on a
 timer), immediate duplicate ACKs for out-of-order arrivals, and ECE echo for
 any ACK covering a CE-marked segment.
@@ -53,14 +62,12 @@ def check_sender(mode: str, cc_variant: str) -> None:
 class Tuning:
     """Sender constants that tests vary; defaults follow common practice.  Read-only."""
 
-    __slots__ = ("rto_min", "rto_initial", "growth_enabled")
+    __slots__ = ("rto_min", "rto_initial")
 
-    def __init__(self, rto_min: int = 200 * MS, rto_initial: int = 1 * SEC,
-                 growth_enabled: bool = True):
-        for name, value in (("rto_min", rto_min), ("rto_initial", rto_initial)):
+    def __init__(self, rto_min: int = 200 * MS, rto_initial: int = 1 * SEC):
+        for name, value in zip(self.__slots__, (rto_min, rto_initial)):
             if not 0 < value <= RTO_MAX:
                 raise ConfigError(name, f"must be positive and at most {RTO_MAX} ns, got {value}")
-        for name, value in zip(self.__slots__, (rto_min, rto_initial, growth_enabled)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -225,8 +232,7 @@ class TcpSender:
         # The elapsed wait is the entitlement to send exactly one segment.
         now = self.engine.now
         retx, payload = self._next_segment()
-        if payload:
-            self._send(now, retx, payload)
+        self._send(now, retx, payload)
         self._pump(now)
 
     def _send(self, now: int, retx: bool, payload: int) -> None:
@@ -285,7 +291,7 @@ class TcpSender:
             self._grow(now, advance)
 
         if advance > 0:
-            if self.snd_una < self.recovery_until and self.segments:
+            if self.snd_una < self.recovery_until:
                 # Partial advance inside a loss episode: next hole goes out now.
                 self.retx_head = True
         elif self.in_flight > 0:
@@ -317,8 +323,6 @@ class TcpSender:
             self.srtt = (7 * self.srtt + sample) // 8
 
     def _grow(self, now: int, advance: int) -> None:
-        if not self.tuning.growth_enabled:
-            return
         if self.snd_una < self.recovery_until or now < self.ece_gate_until:
             return  # no growth while a congestion response is settling
         if self.slow_start:
@@ -375,14 +379,14 @@ class TcpSender:
         self.slow_start = False
         self._reduce()
         self.recovery_until = self.snd_nxt
-        self.retx_head = bool(self.segments)
+        self.retx_head = True
 
     def _on_rto(self) -> None:
         now = self.engine.now
         self.engine.recorder.rto(now, self.flow_id)
         self.slow_start = False
         self.recovery_until = self.snd_nxt
-        self.retx_head = bool(self.segments)
+        self.retx_head = True
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
             self._apply_conceptual(0)

@@ -1,6 +1,7 @@
 from hypothesis import settings
 
 from subpace.config import KEYS, ScenarioConfig
+from subpace.endpoint import TcpSender
 from subpace.engine import Recorder
 
 # `pytest --hypothesis-profile=thorough` runs every property test with ten
@@ -49,6 +50,18 @@ class LoggingRecorder(Recorder):
     def rto(self, now, flow_id):
         self.rows.append(("rto", now, flow_id))
         self.inner.rto(now, flow_id)
+
+
+class FixedWindowSender(TcpSender):
+    """A sender whose congestion window never grows, so a test's window stays as it set it.
+
+    Reductions still apply; only `_grow`, the one place the congestion window rises, does nothing.
+    """
+
+    __slots__ = ()
+
+    def _grow(self, now, advance):
+        pass
 
 
 def log_recorder(engine) -> LoggingRecorder:

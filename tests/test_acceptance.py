@@ -10,7 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from conftest import log_recorder, log_sends
+from conftest import FixedWindowSender, log_recorder, log_sends
 
 from subpace import cli
 from subpace.analysis import balance_rtt_ns
@@ -110,21 +110,19 @@ def test_acceptance_3_submss_restores_target(submss_sim):
 
 
 def _interval_rig(window: int, rtt: int, mss: int = 1460):
-    """Sender over a fixed-delay wire that ACKs every segment one RTT later."""
-    from subpace.endpoint import TcpSender
-
+    """Sender with a fixed window over a wire that ACKs every segment one RTT later."""
     engine = Engine()
     sends = []
-    quiet = Tuning(rto_min=RTO_MAX, rto_initial=RTO_MAX, growth_enabled=False)
+    quiet = Tuning(rto_min=RTO_MAX, rto_initial=RTO_MAX)
 
     def wire(packet):
         sends.append(engine.now)
         ack = Ack(0, packet.end_bytes, False)
         engine.schedule(engine.now + rtt, lambda: sender.on_ack(ack))
 
-    sender = TcpSender(engine, 0, mss=mss, frame_overhead=58, mode="submss",
-                       cc_variant="reno-like", ecn_capable=False, w_min=1,
-                       transmit=wire, tuning=quiet)
+    sender = FixedWindowSender(engine, 0, mss=mss, frame_overhead=58, mode="submss",
+                               cc_variant="reno-like", ecn_capable=False, w_min=1,
+                               transmit=wire, tuning=quiet)
     sender.window = window
     sender.app_write(1 << 40)
     return engine, sends

@@ -8,7 +8,7 @@ from itertools import pairwise, takewhile
 from pathlib import Path
 
 import pytest
-from conftest import examples, log_recorder
+from conftest import FixedWindowSender, examples, log_recorder
 from hypothesis import example, given, settings, strategies as st
 
 from subpace.endpoint import (
@@ -29,12 +29,12 @@ M = 1460
 OVERHEAD = 58
 FAR_FUTURE = RTO_MAX
 QUIET_TIMERS = Tuning(rto_min=FAR_FUTURE, rto_initial=FAR_FUTURE)
-NO_GROWTH = Tuning(rto_min=FAR_FUTURE, rto_initial=FAR_FUTURE, growth_enabled=False)
 
 
 def make_sender(engine, transmit, mode="submss", tuning=QUIET_TIMERS, ecn=True,
-                cc="reno-like", w_min=M // 64):
-    return TcpSender(
+                cc="reno-like", w_min=M // 64, grow=True):
+    """A flow-0 sender; with grow=False its window stays where the test sets it."""
+    return (TcpSender if grow else FixedWindowSender)(
         engine,
         flow_id=0,
         mss=M,
@@ -55,11 +55,12 @@ def ack_for(sender, nbytes, ece=False):
 class LoopbackRig:
     """Sender wired to an auto-ACKing sink a fixed RTT away."""
 
-    def __init__(self, rtt=6 * MS, mode="submss", tuning=NO_GROWTH, delayed_acks=False):
+    def __init__(self, rtt=6 * MS, mode="submss", tuning=QUIET_TIMERS, delayed_acks=False):
         self.engine = Engine()
         self.rtt = rtt
         self.sends = []
-        self.sender = make_sender(self.engine, self._transmit, mode=mode, tuning=tuning)
+        self.sender = make_sender(self.engine, self._transmit, mode=mode, tuning=tuning,
+                                  grow=False)
         self.receiver = TcpReceiver(self.engine, 0, self._return_ack, delayed_acks=delayed_acks)
 
     def _transmit(self, packet):
@@ -76,7 +77,7 @@ class LoopbackRig:
 
 def test_send_decrements_window_below_zero():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M // 2
     sender.app_write(10 * M)
     engine.run_until(1 * SEC)  # pacer wait elapses, one segment goes out
@@ -86,7 +87,7 @@ def test_send_decrements_window_below_zero():
 
 def test_ack_restores_negative_window():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M // 2
     sender.app_write(10 * M)
     engine.run_until(1 * SEC)
@@ -122,7 +123,7 @@ def test_ack_for_unsent_data_fails_loudly():
 def test_app_write_small_payload_segment():
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=NO_GROWTH)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.app_write(500)
     engine.run_until(1 * MS)
     assert sent[0].size - OVERHEAD == 500  # s = min(M, snd_q)
@@ -131,7 +132,7 @@ def test_app_write_small_payload_segment():
 def test_app_writes_coalesce():
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=NO_GROWTH)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = 0  # hold the first send until both writes queue
     sender.app_write(700)
     sender.app_write(800)
@@ -150,7 +151,7 @@ def test_app_write_rejects_a_byte_count_that_is_not_positive():
 
 def test_bulk_write_accumulates_snd_q():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = 0
     sender.app_write(10**9)
     assert sender.snd_q == 10**9
@@ -184,7 +185,7 @@ def test_baseline_loss_halves_with_floor():
 
 def test_submss_ece_halves_below_one_segment():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M // 4
     sender.app_write(10 * M)
     sender.on_ack(Ack(0, 0, True))
@@ -193,7 +194,7 @@ def test_submss_ece_halves_below_one_segment():
 
 def test_submss_loss_halves_below_one_segment():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M
     sender.app_write(10 * M)
     engine.run_until(1 * MS)  # one segment out
@@ -205,7 +206,7 @@ def test_submss_loss_halves_below_one_segment():
 
 def test_reno_reduction_at_most_once_per_rtt():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.srtt = 6 * MS
     sender.window = M // 4  # below one segment: nothing sends, no dup ACKs
     sender.app_write(10 * M)
@@ -244,7 +245,7 @@ def test_slow_start_grows_by_the_bytes_acked_below_one_segment(mode):
 
 def test_dctcp_alpha_update_and_cut():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, cc="dctcp-like", tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, cc="dctcp-like", grow=False)
     sender.window = 8 * M
     sender.app_write(100 * M)
     engine.run_until(1 * MS)  # a window of segments goes out
@@ -402,7 +403,7 @@ def test_ack_beyond_snd_nxt_raises_under_python_O():
 
 def test_send_to_minus_mss_raises():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.snd_q = M
     sender.window = 0
     with pytest.raises(ProtocolError):
@@ -422,12 +423,15 @@ SENDER_STEPS = st.one_of(
        st.integers(1, M), st.lists(SENDER_STEPS, max_size=60))
 @example("baseline", "reno-like", 1, [("write", 1), ("wait", 50 * MS)])  # an RTO fires
 @example("baseline", "reno-like", 1, [("write", M), ("wait", MS), ("ack", 1, False)])  # pipe drains
+# The head is ACKed while its retransmission waits, and nothing is left to send.
+@example("submss", "reno-like", 1, [("write", M), ("wait", 150 * MS), ("ack", 1, False)])
 def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min, steps):
     engine = Engine()
     tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
     balances = []  # the window right after each new-data send
 
     def transmit(packet):
+        assert packet.end_bytes > packet.seq_bytes  # every send carries payload
         if not packet.is_retransmission:
             balances.append(sender.window)
 
@@ -450,6 +454,8 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min,
         assert all(balance > -M for balance in balances)
         assert sender.conceptual_window >= sender.floor >= 1
         assert sender.rto_timer.deadline is None or sender.in_flight > 0
+        # A wait is pending only while there is a segment for it to send.
+        assert not sender.pacer.waiting or sender._next_segment()[1] > 0
         assert sender.snd_una <= sender.snd_nxt
         if mode == "baseline":
             assert sender.unreclaimed == sender.in_flight
@@ -485,9 +491,8 @@ def test_tuning_is_read_only_and_one_instance_is_every_senders_default():
         with pytest.raises(AttributeError):
             tuning.extra = True
         with pytest.raises(AttributeError):
-            del tuning.growth_enabled
+            del tuning.rto_initial
     assert (DEFAULT_TUNING.rto_min, DEFAULT_TUNING.rto_initial) == (200 * MS, 1 * SEC)
-    assert DEFAULT_TUNING.growth_enabled is True
     senders = [TcpSender(Engine(), flow, M, OVERHEAD, "submss", "reno-like", True, M // 64,
                          lambda p: None) for flow in range(2)]
     assert all(sender.tuning is DEFAULT_TUNING for sender in senders)
@@ -534,8 +539,8 @@ def test_submss_rto_sequence_halves_window_geometrically():
     # M/2 -> M/4 -> M/8 -> M/16, with no timer doubling anywhere.
     engine = Engine()
     windows = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
-    sender = make_sender(engine, lambda p: None, tuning=tuning, w_min=M // 64)
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
+    sender = make_sender(engine, lambda p: None, tuning=tuning, grow=False, w_min=M // 64)
     sender.window = M // 2
     original = sender.rto_timer.action
 
@@ -553,8 +558,8 @@ def test_submss_rto_sequence_halves_window_geometrically():
 def test_submss_rto_retransmissions_are_paced_and_window_untouched():
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
-    sender = make_sender(engine, sent.append, tuning=tuning)
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
+    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
     sender.window = M // 2
     sender.app_write(M)
     engine.run_until(500 * MS)
@@ -567,8 +572,8 @@ def test_submss_rto_retransmissions_are_paced_and_window_untouched():
 def test_one_ack_after_blackout_restores_sending():
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
-    sender = make_sender(engine, sent.append, tuning=tuning)
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
+    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
     sender.window = M // 2
     sender.app_write(100 * M)
     engine.run_until(2 * SEC)  # several RTOs, window deeply suppressed
@@ -604,8 +609,8 @@ def test_head_acked_while_its_retransmission_waits_is_not_resent():
     # then an ACK covers the head before the wait fires.
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS, growth_enabled=False)
-    sender = make_sender(engine, sent.append, tuning=tuning)
+    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
+    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
     sender.window = M // 2
     sender.app_write(100 * M)
     engine.run_until(100 * MS)  # the first wait elapses; segment 0 goes out
@@ -621,11 +626,40 @@ def test_head_acked_while_its_retransmission_waits_is_not_resent():
     assert [p for p in sent if p.seq_bytes == 0 and p.is_retransmission] == []
 
 
+@pytest.mark.parametrize("at, grows", [(15 * MS, False), (25 * MS, True)])
+def test_ece_gate_holds_growth_until_it_ends(at, grows):
+    # reno-like: an ECE halves the window and gates growth for one RTT (10 ms
+    # here).  An ACK covering more than the window then grows it by one MSS,
+    # but only once the gate has ended.
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, mode="baseline")
+    sender.window = 40 * M
+    sender.app_write(100 * M)  # 40 segments at t = 0
+    engine.run_until(10 * MS)
+    sender.on_ack(Ack(0, M, True))
+    assert sender.conceptual_window == 20 * M and sender.ece_gate_until == 20 * MS
+    engine.run_until(at)
+    sender.on_ack(Ack(0, 22 * M, False))  # 21 segments, more than the 20-segment window
+    assert sender.conceptual_window == (21 if grows else 20) * M
+
+
+def test_mid_segment_ack_pops_nothing_and_takes_no_sample():
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None)
+    sender.app_write(M)
+    engine.run_until(10 * MS)
+    sender.on_ack(Ack(0, M // 2, False))
+    assert sender.snd_una == M // 2 and len(sender.segments) == 1 and sender.srtt is None
+    engine.run_until(20 * MS)
+    sender.on_ack(Ack(0, M, False))  # the segment's end: popped, and sampled
+    assert not sender.segments and sender.srtt == 20 * MS
+
+
 # -- RTT estimation -----------------------------------------------------------
 
 def test_srtt_ewma_arithmetic():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = 10 * M
     sender.app_write(100 * M)
     engine.run_until(0)
@@ -641,7 +675,7 @@ def test_srtt_ewma_arithmetic():
 
 def test_pacer_waits_use_initial_rtt_then_the_smoothed_rtt():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M // 2
     sender.app_write(M)
     first_wait = pacing_delay(M, M // 2, INITIAL_RTT)  # no RTT sample yet
@@ -659,7 +693,7 @@ def test_pacer_waits_use_initial_rtt_then_the_smoothed_rtt():
 
 def test_karn_rule_skips_retransmitted_segments():
     engine = Engine()
-    sender = make_sender(engine, lambda p: None, tuning=NO_GROWTH)
+    sender = make_sender(engine, lambda p: None, grow=False)
     sender.window = M
     sender.app_write(M)
     engine.run_until(1 * MS)
@@ -682,8 +716,7 @@ def test_srtt_converges_to_true_path_rtt():
 def test_rto_keeps_a_one_ns_variance_floor():
     # RFC 6298's clock granularity G: on a constant path rttvar decays to 0,
     # and with rto_min below the RTT only G keeps the RTO above srtt.
-    rig = LoopbackRig(rtt=6 * MS, tuning=Tuning(rto_min=1, rto_initial=FAR_FUTURE,
-                                                growth_enabled=False))
+    rig = LoopbackRig(rtt=6 * MS, tuning=Tuning(rto_min=1, rto_initial=FAR_FUTURE))
     rig.sender.window = 730
     rig.sender.app_write(100 * M)
     rig.engine.run_until(2 * SEC)
@@ -891,7 +924,7 @@ def test_baseline_full_window_blocks_emission():
 def test_submss_window_deficit_schedules_wait_not_send():
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=NO_GROWTH)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = M // 2
     sender.app_write(10**9)
     assert sent == []  # no immediate emission
@@ -901,7 +934,7 @@ def test_submss_window_deficit_schedules_wait_not_send():
 def test_submss_window_above_segment_sends_without_wait():
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=NO_GROWTH)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = 3 * M
     sender.app_write(M)
     assert len(sent) == 1
@@ -909,14 +942,20 @@ def test_submss_window_above_segment_sends_without_wait():
     assert not sender.pacer.waiting
 
 
-def test_wait_expiry_with_no_data_disarms_pacer():
+def test_ack_that_leaves_nothing_to_send_disarms_a_pending_wait():
+    # Two submss RTOs halve the window below one segment, so the second
+    # retransmission waits.  The late ACK of the original then covers the head
+    # and no new data is queued: the wait goes and nothing more is sent.
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=NO_GROWTH)
-    sender.window = 100
-    sender.app_write(500)
-    assert sender.pacer.waiting
-    sender.snd_q = 0  # data withdrawn before the wait elapses
-    engine.run_until(1 * SEC)
-    assert sent == []
+    sender = make_sender(engine, sent.append, tuning=Tuning(rto_min=50 * MS, rto_initial=50 * MS))
+    sender.app_write(M)  # the initial two-segment window sends it at once
+    engine.run_until(150 * MS)  # RTOs at 50 ms (window M, resent at once) and 100 ms (M/2)
+    assert [p.sent_at for p in sent] == [0, 50 * MS]
+    assert sender.conceptual_window == M // 2 and sender.retx_head and sender.pacer.waiting
+    deadline = sender.pacer.timer.deadline
+    assert deadline == 100 * MS + pacing_delay(M, M // 2, INITIAL_RTT)
+    sender.on_ack(Ack(0, M, False))
     assert not sender.pacer.waiting and sender.pacer.timer.deadline is None
+    engine.run_until(deadline + 1 * SEC)
+    assert [p.sent_at for p in sent] == [0, 50 * MS]

@@ -384,6 +384,11 @@ def test_div_round_half_up():
         div_round_half_up(-1, 2)
 
 
+def test_div_round_half_up_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="den > 0"):
+        div_round_half_up(1, 0)
+
+
 def test_transmission_time_oracle():
     # 1518 B at 40 Mb/s: 1518*8 bits / 40e6 bit/s = 303.6 us exactly.
     assert transmission_time_ns(1518 * 8, 40_000_000) == 303_600

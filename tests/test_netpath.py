@@ -169,6 +169,18 @@ def test_packet_validation():
         link.enqueue(frame(size=1519))
 
 
+def test_ce_marked_ecn_capable_packet_is_admitted_and_stays_marked():
+    # A mark set upstream is legal on an ECN-capable packet; the link keeps it.
+    engine = Engine()
+    delivered = []
+    link = make_link(engine, delivered)
+    packet = Packet(flow_id=0, seq_bytes=0, end_bytes=1460, size=1518, ecn_capable=True,
+                    ce_marked=True)
+    assert link.enqueue(packet) == QUEUED  # an empty queue: no new signal
+    engine.run_until(10 * MS)
+    assert delivered == [packet] and packet.ce_marked
+
+
 @settings(deadline=None, max_examples=examples(40))
 @given(st.lists(st.sampled_from([400, 900, 1518]), min_size=1, max_size=120),
        st.integers(min_value=0, max_value=2**31))

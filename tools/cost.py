@@ -1,6 +1,6 @@
 """Exact cost of short runs of the shipped scenarios, in counts that do not drift.
 
-    python3 tools/cost.py            # calls and bytecodes per run, as a table
+    python3 tools/cost.py            # calls, top functions and bytecodes per run, as a table
     python3 tools/cost.py --json     # the call counts COST.json pins, as JSON
     python3 tools/cost.py --write    # record those call counts in COST.json
 
@@ -8,7 +8,8 @@ Each run is 2 s of simulated time after a 0.5 s warmup, at seed 1, counted
 from `Simulation` construction to its metrics.  Python calls are the sum of
 the call counts in `cProfile.Profile().getstats()`, builtins included, in
 total and by the `src/subpace` module that defines the callee ("other" for
-builtins and the standard library).  Bytecodes are the opcodes executed in
+builtins and the standard library); the table also names the 15 most-called
+functions of each run.  Bytecodes are the opcodes executed in
 Python frames, counted by a `sys.settrace` hook with `f_trace_opcodes`; they
 take seconds per run, so only the table shows them.  Wall time moves with the
 host, these counts move only with the code and the interpreter, so COST.json
@@ -53,16 +54,36 @@ def module_of(code) -> str:
     return path.stem if path.parent == SRC / "subpace" else "other"
 
 
-def count_calls(cfg) -> dict:
+def function_of(code) -> str:
+    """`module.qualname` of a Python function; cProfile's own label for a builtin."""
+    if isinstance(code, str):
+        return code
+    return f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def profile(cfg) -> list:
+    """cProfile's entries for one run: each callee's code, or a builtin's label, and its calls."""
     # No per-caller counts: they cost time, and each function's total is the same.
     profiler = cProfile.Profile(subcalls=False)
     profiler.enable()
     Simulation(cfg).run().metrics()
     profiler.disable()
+    return profiler.getstats()
+
+
+def count_calls(stats) -> dict:
     by_module = Counter()
-    for entry in profiler.getstats():
+    for entry in stats:
         by_module[module_of(entry.code)] += entry.callcount
     return {"calls": sum(by_module.values()), "calls_by_module": dict(sorted(by_module.items()))}
+
+
+def top_functions(stats, n: int = 15) -> list[tuple[str, int]]:
+    """The n most-called functions, most calls first, ties by name."""
+    by_function = Counter()
+    for entry in stats:
+        by_function[function_of(entry.code)] += entry.callcount
+    return sorted(by_function.items(), key=lambda item: (-item[1], item[0]))[:n]
 
 
 def count_bytecodes(cfg) -> dict:
@@ -90,7 +111,7 @@ def count_bytecodes(cfg) -> dict:
 
 def call_counts() -> dict:
     """Every scenario's call counts under this interpreter's key, as COST.json holds them."""
-    return {interpreter(): {name: count_calls(config(name)) for name in SCENARIOS}}
+    return {interpreter(): {name: count_calls(profile(config(name))) for name in SCENARIOS}}
 
 
 def main() -> int:
@@ -111,12 +132,17 @@ def main() -> int:
               f"{WARMUP_NS / 1e9:g} s warmup, seed {SEED}")
         for name in SCENARIOS:
             cfg = config(name)
-            counts = {**count_calls(cfg), **count_bytecodes(cfg)}
+            stats = profile(cfg)
+            counts = {**count_calls(stats), **count_bytecodes(cfg)}
             print(f"\n{name}")
             for kind in ("calls", "bytecodes"):
                 print(f"  {kind:<10} {counts[kind]:>12,}")
                 for module, n in counts[f"{kind}_by_module"].items():
                     print(f"    {module:<8} {n:>12,}")
+                if kind == "calls":
+                    print("    most-called functions:")
+                    for function, n in top_functions(stats):
+                        print(f"      {n:>12,}  {function}")
     return 0
 
 
