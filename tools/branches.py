@@ -2,7 +2,6 @@
 
     python3 tools/branches.py                # reachable traffic only
     python3 tools/branches.py --tier1        # and `pytest tests` against the same copy
-    python3 tools/branches.py --configs 20   # fewer random configs, for a quick look
 
 The tool copies `src/subpace` to a temporary directory and rewrites the
 copy's `engine`, `netpath`, `pacing`, `endpoint` and `scenario` modules with
@@ -17,7 +16,7 @@ accepts, from fixed seeds, with no state written by hand:
 - eight staged ACK-blackhole runs (the path is severed from 5/12 to 2/3 of the
   run): acceptance 7's config in both sender modes and both variants, and the
   four shipped files at 12 s with a 3 s warmup
-- random configs (190 unless `--configs` says otherwise) that cycle through
+- `RANDOM_CONFIGS` (190) random configs that cycle through
   every AQM policy, sender mode, variant, `ecn` and `delayed_acks` setting,
   at 1 Mb/s-10 Gb/s and 20 us-40 ms
 
@@ -50,6 +49,7 @@ SHIPPED = ("broadband12", "broadband12_submss", "broadband12_submss_nodelack",
            "broadband12_reddrop")
 PROBE = "_branch_probe"  # the counter module in the copy, and its alias in each rewritten module
 OUT_ENV = "SUBPACE_BRANCHES_OUT"
+RANDOM_CONFIGS = 190
 # Tier-1 tests that cannot pass on the copy: the probes' calls move the pinned
 # call counts, and the rewritten functions are compiled from outside `src/`.
 NOT_ON_COPY = ("tests/test_cost.py",
@@ -228,7 +228,7 @@ def random_config(config, netpath, rng: random.Random, policy, mode, variant, ec
         w_min_fraction=rng.choice((1 / 64, 1 / 1024, 1.0, rng.uniform(0.001, 1))))
 
 
-def run_traffic(n_configs: int) -> None:
+def run_traffic() -> None:
     """Drive the imported (instrumented) package with reachable traffic only."""
     from subpace import config, endpoint, netpath, scenario
 
@@ -254,10 +254,10 @@ def run_traffic(n_configs: int) -> None:
     rng = random.Random(29)
     choices = list(itertools.product(netpath.AQM_POLICIES, endpoint.SENDER_MODES,
                                      endpoint.CC_VARIANTS, (True, False), (True, False)))
-    for index in range(n_configs):
+    for index in range(RANDOM_CONFIGS):
         cfg = random_config(config, netpath, rng, *choices[index % len(choices)])
         if index % 10 == 0:
-            print(f"  random configs {index + 1}-{min(index + 10, n_configs)} of {n_configs}",
+            print(f"  random configs {index + 1}-{min(index + 10, RANDOM_CONFIGS)} of {RANDOM_CONFIGS}",
                   file=sys.stderr, flush=True)
         scenario.Simulation(cfg).run().metrics()
 
@@ -294,8 +294,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tier1", action="store_true",
                         help="also run `pytest tests` against the instrumented copy")
-    parser.add_argument("--configs", type=int, default=190, metavar="N",
-                        help="random configs to run (default 190)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="subpace-branches-") as tmp:
@@ -306,7 +304,7 @@ def main() -> int:
         sys.path.insert(0, str(copy))
         print(f"{len(probes)} probes in {', '.join(MODULES)}; running reachable traffic",
               file=sys.stderr, flush=True)
-        run_traffic(args.configs)
+        run_traffic()
         from subpace import _branch_probe
 
         traffic = _branch_probe.COUNTS
