@@ -14,10 +14,10 @@ The retained `segments` tile `[snd_una, snd_nxt)`: `_send` appends at
 `snd_nxt` and an ACK pops only the segments it covers whole.  So a segment is
 held exactly while data is in flight, and since `recovery_until <= snd_nxt`,
 `snd_una < recovery_until` implies one.  A pacer wait is pending only while
-`_next_segment` has a payload: `_pump` arms or rebases a wait only after
-`payload > 0`, nothing sends while it is pending, and every call that can
-change the payload (`on_ack`, `_on_rto`, `app_write`) ends in `_pump`, which
-stops the timer when the payload is 0.
+`_next_segment` has a payload: `_pump` asks the pacer, which arms or rebases
+a wait, only after `payload > 0`, nothing sends while it is pending, and
+every call that can change the payload (`on_ack`, `_on_rto`, `app_write`)
+ends in `_pump`, which stops the timer when the payload is 0.
 
 The receiver implements standard delayed ACKs (every n segments or on a
 timer), immediate duplicate ACKs for out-of-order arrivals, and ECE echo for
@@ -210,8 +210,8 @@ class TcpSender:
 
         A balance that covers the next segment sends it in both modes.  A
         shorter one is where the modes part: baseline stalls until ACKs open
-        the window (retransmissions bypass that gate), while submss has the
-        pacer arm a wait for the deficit, or rebase the wait already pending.
+        the window (retransmissions bypass that gate), while submss asks the
+        pacer, which arms a wait for the deficit or rebases the one pending.
         """
         while True:
             retx, payload = self._next_segment()
@@ -221,9 +221,6 @@ class TcpSender:
             if self.mode == BASELINE:
                 if not retx and payload > self.window:
                     return
-            elif self.pacer.waiting:
-                self.pacer.window_changed(now, payload, self.window)
-                return
             elif not self.pacer.request(now, payload, self.window):
                 return
             self._send(now, retx, payload)

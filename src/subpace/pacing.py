@@ -40,7 +40,7 @@ class Pacer:
 
     At most one wait is pending, and the timer calls `on_ready()` when it
     elapses.  A wait cycle is anchored at the time it was armed (the
-    window-changing event); a mid-wait window change rebases the wait against
+    window-changing event); a request during the wait rebases it against
     that same epoch.  A non-positive window arms no wait: the sender asks
     again after the next increase.  R is read from the owner at each wait:
     `rtt()` is called whenever a wait is armed or rebased.
@@ -59,9 +59,11 @@ class Pacer:
         """Ask to send `seg` bytes now.  True means send immediately.
 
         Otherwise either a timed wait is pending, and on_ready fires when it
-        elapses, or the window is non-positive and nothing is armed.
+        elapses, or the window is non-positive and nothing is armed.  A
+        request while a wait is pending rebases that wait for `window`.
         """
         if self.waiting:
+            self.window_changed(now, seg, window)
             return False
         if window >= seg:
             return True

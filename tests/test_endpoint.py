@@ -1,9 +1,11 @@
 import ast
+import cProfile
 import importlib
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import pairwise, takewhile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from conftest import FixedWindowSender, examples, log_recorder
 from hypothesis import example, given, settings, strategies as st
 
+from subpace.config import load_scenario, with_value
 from subpace.endpoint import (
     DEFAULT_TUNING,
     INITIAL_RTT,
@@ -24,6 +27,7 @@ from subpace.endpoint import (
 from subpace.engine import MS, SEC, Engine
 from subpace.netpath import Packet
 from subpace.pacing import pacing_delay
+from subpace.scenario import Simulation
 
 M = 1460
 OVERHEAD = 58
@@ -326,24 +330,54 @@ def test_package_has_no_generated_functions():
     assert generated == []
 
 
-# The functions every packet or ACK runs.  CPython 3.11 specializes neither a
-# call to builtin min/max nor a call that passes keyword arguments, and each
-# costs several times a plain comparison or a positional call.
+# The functions every packet or ACK runs: each function of the package that
+# a run calls at least once per four frames enqueued.  CPython 3.11
+# specializes neither a call to builtin min/max nor a call that passes keyword
+# arguments, and each costs several times a plain comparison or a positional
+# call.
 PER_PACKET_FUNCTIONS = {
-    "netpath.py": ["AqmLink.enqueue", "AqmLink.retire", "AqmLink._drop"],
+    "netpath.py": ["AqmLink.enqueue", "AqmLink.retire", "AqmLink._drop", "Packet.__init__"],
     "scenario.py": ["Meter.backlog", "Meter.departure", "Meter.mark", "Meter.drop",
                     "Simulation._return_ack"],
     "endpoint.py": [
         "TcpSender._send", "TcpSender._pump", "TcpSender._next_segment", "TcpSender.on_ack",
         "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
-        "TcpSender._on_pacer_ready", "TcpSender._dctcp_account", "TcpReceiver.on_segment",
-        "TcpReceiver._absorb_buffered", "TcpReceiver._emit_ack",
+        "TcpSender._on_pacer_ready", "TcpSender._dctcp_account", "TcpSender._apply_conceptual",
+        "TcpSender.conceptual_window", "TcpSender.in_flight", "TcpSender.rtt",
+        "TcpReceiver.on_segment", "TcpReceiver._absorb_buffered", "TcpReceiver._emit_ack",
+        "Ack.__init__",
     ],
-    "pacing.py": ["Pacer.request", "Pacer.window_changed", "pacing_delay", "segment_size"],
+    "pacing.py": ["Pacer.request", "Pacer.window_changed", "Pacer.waiting", "pacing_delay",
+                  "segment_size"],
     "engine.py": [
         "Engine.schedule", "Engine.run_until", "Timer.set", "Timer._fire", "Timer.cancel",
+        "Timer.stop", "div_round_half_up", "_cancelled",
     ],
 }
+
+
+def test_per_packet_functions_list_every_function_a_frame_runs():
+    # 1 s runs of the three scenario kinds, profiled: a package function
+    # called once per four frames or more is per-packet work.
+    listed = {(module, name) for module, names in PER_PACKET_FUNCTIONS.items() for name in names}
+    package = SRC / "subpace"
+    for name in ("broadband12", "broadband12_reddrop", "broadband12_submss"):
+        cfg = load_scenario(SRC.parent / "scenarios" / f"{name}.txt")
+        for key, value in (("seed", 1), ("warmup", 250 * MS), ("duration", SEC)):
+            cfg = with_value(cfg, key, value)
+        profiler = cProfile.Profile(subcalls=False)
+        profiler.enable()
+        Simulation(cfg).run().metrics()
+        profiler.disable()
+        calls = Counter()
+        for entry in profiler.getstats():
+            path = Path(getattr(entry.code, "co_filename", "")).resolve()
+            if path.parent == package:
+                calls[path.name, entry.code.co_qualname] += entry.callcount
+        frames = calls["netpath.py", "AqmLink.enqueue"]
+        assert frames > 1_000
+        hot = {function for function, n in calls.items() if 4 * n >= frames}
+        assert sorted(hot - listed) == [], f"{name}: per-packet functions missing from the list"
 
 
 def test_only_apply_conceptual_reads_the_senders_floor():
@@ -454,8 +488,13 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min,
         assert all(balance > -M for balance in balances)
         assert sender.conceptual_window >= sender.floor >= 1
         assert sender.rto_timer.deadline is None or sender.in_flight > 0
-        # A wait is pending only while there is a segment for it to send.
+        # A wait is pending only while there is a segment for it to send, and
+        # it is priced for the current window from its epoch (or due at once).
         assert not sender.pacer.waiting or sender._next_segment()[1] > 0
+        if sender.pacer.waiting:
+            pacer = sender.pacer
+            due = pacer.epoch + pacing_delay(sender._next_segment()[1], sender.window, sender.rtt())
+            assert pacer.timer.deadline == (due if due > engine.now else engine.now)
         assert sender.snd_una <= sender.snd_nxt
         if mode == "baseline":
             assert sender.unreclaimed == sender.in_flight

@@ -118,16 +118,26 @@ def test_pacer_parks_on_non_positive_window():
     assert h.fired_at == []
 
 
-def test_pacer_request_while_a_wait_is_pending_keeps_the_deadline():
-    # The sender asks the pacer only when no wait is pending; these guards
-    # keep a direct call from arming a second wait or moving the first.
-    h = PacerHarness()
-    h.pacer.request(0, 1460, 730)
-    deadline = h.pacer.timer.deadline
-    assert h.pacer.request(1 * MS, 1460, 5000) is False  # even a window that covers the segment
-    assert (h.pacer.epoch, h.pacer.timer.deadline) == (0, deadline)
-    h.engine.run_until(20 * MS)
-    assert h.fired_at == [deadline]
+@pytest.mark.parametrize("window, fired_at", [
+    (365, [18 * MS]),  # shrinking: d = 18 ms from epoch 0
+    (1000, [pacing_delay(1460, 1000, 6 * MS)]),  # growing, still below the segment
+    (1460, [2 * MS]),  # covering the segment: fires at now, through the queue
+    (0, []),  # non-positive: the wait is dropped
+], ids=["shrinking", "growing", "covering", "non-positive"])
+def test_pacer_request_while_a_wait_is_pending_rebases_it(window, fired_at):
+    # A request on a pending wait is a window change: it rebases that wait
+    # against its epoch, and never sends past the one entitlement.
+    asked, told = PacerHarness(), PacerHarness()
+    for h in (asked, told):
+        h.pacer.request(0, 1460, 730)  # d = 6 ms
+        h.engine.run_until(2 * MS)
+    assert asked.pacer.request(2 * MS, 1460, window) is False
+    told.pacer.window_changed(2 * MS, 1460, window)
+    state = [(h.pacer.epoch, h.pacer.timer.deadline, h.pacer.waiting) for h in (asked, told)]
+    assert state[0] == state[1]
+    for h in (asked, told):
+        h.engine.run_until(30 * MS)
+    assert asked.fired_at == told.fired_at == fired_at
 
 
 def test_pacer_window_change_with_nothing_pending_arms_nothing():

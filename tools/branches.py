@@ -20,7 +20,7 @@ accepts, from fixed seeds, with no state written by hand:
   every AQM policy, sender mode, variant, `ecn` and `delayed_acks` setting,
   at 1 Mb/s-10 Gb/s and 20 us-40 ms
 
-`--tier1` also runs `pytest tests` on the copy, without the two tests
+`--tier1` also runs `pytest tests` on the copy, without the tests
 NOT_ON_COPY names.  Processes the tests start (subprocess runs, sweep workers)
 add their counts too.
 
@@ -51,9 +51,11 @@ PROBE = "_branch_probe"  # the counter module in the copy, and its alias in each
 OUT_ENV = "SUBPACE_BRANCHES_OUT"
 RANDOM_CONFIGS = 190
 # Tier-1 tests that cannot pass on the copy: the probes' calls move the pinned
-# call counts, and the rewritten functions are compiled from outside `src/`.
+# call counts, and the rewritten functions are compiled from outside `src/`,
+# where the other two tests look for the package's functions.
 NOT_ON_COPY = ("tests/test_cost.py",
-               "tests/test_endpoint.py::test_package_has_no_generated_functions")
+               "tests/test_endpoint.py::test_package_has_no_generated_functions",
+               "tests/test_endpoint.py::test_per_packet_functions_list_every_function_a_frame_runs")
 
 # The counter the rewritten modules call.  It imports only what `import
 # subpace` already loads, so tests that check the package's imports still pass.

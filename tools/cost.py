@@ -1,6 +1,6 @@
 """Exact cost of short runs of the shipped scenarios, in counts that do not drift.
 
-    python3 tools/cost.py            # calls, top functions and bytecodes per run, as a table
+    python3 tools/cost.py            # calls, top functions, bytecodes and events per run
     python3 tools/cost.py --json     # the call counts COST.json pins, as JSON
     python3 tools/cost.py --write    # record those call counts in COST.json
 
@@ -11,7 +11,10 @@ total and by the `src/subpace` module that defines the callee ("other" for
 builtins and the standard library); the table also names the 15 most-called
 functions of each run.  Bytecodes are the opcodes executed in
 Python frames, counted by a `sys.settrace` hook with `f_trace_opcodes`; they
-take seconds per run, so only the table shows them.  Wall time moves with the
+take seconds per run, so only the table shows them.  Events are the calls of
+`Engine.schedule`, by tag, counted through a wrapper in a run of their own
+without a profiler (a `Timer` that queues its entry again does so without
+`schedule`); only the table shows them too.  Wall time moves with the
 host, these counts move only with the code and the interpreter, so COST.json
 keys them by interpreter version.
 """
@@ -33,6 +36,7 @@ WARMUP_NS, DURATION_NS, SEED = 500_000_000, 2_000_000_000, 1
 sys.path.insert(0, str(SRC))
 
 from subpace.config import load_scenario, with_value  # noqa: E402
+from subpace.engine import Engine  # noqa: E402
 from subpace.scenario import Simulation  # noqa: E402
 
 
@@ -109,6 +113,22 @@ def count_bytecodes(cfg) -> dict:
             "bytecodes_by_module": dict(sorted(by_module.items()))}
 
 
+def count_events(cfg) -> dict:
+    by_tag = Counter()
+    schedule = Engine.schedule
+
+    def counted(engine, at, action, tag=None):
+        by_tag[str(tag)] += 1
+        return schedule(engine, at, action, tag)
+
+    Engine.schedule = counted
+    try:
+        Simulation(cfg).run().metrics()
+    finally:
+        Engine.schedule = schedule
+    return {"events": sum(by_tag.values()), "events_by_tag": dict(sorted(by_tag.items()))}
+
+
 def call_counts() -> dict:
     """Every scenario's call counts under this interpreter's key, as COST.json holds them."""
     return {interpreter(): {name: count_calls(profile(config(name))) for name in SCENARIOS}}
@@ -133,12 +153,12 @@ def main() -> int:
         for name in SCENARIOS:
             cfg = config(name)
             stats = profile(cfg)
-            counts = {**count_calls(stats), **count_bytecodes(cfg)}
+            counts = {**count_calls(stats), **count_bytecodes(cfg), **count_events(cfg)}
             print(f"\n{name}")
-            for kind in ("calls", "bytecodes"):
+            for kind, part in (("calls", "module"), ("bytecodes", "module"), ("events", "tag")):
                 print(f"  {kind:<10} {counts[kind]:>12,}")
-                for module, n in counts[f"{kind}_by_module"].items():
-                    print(f"    {module:<8} {n:>12,}")
+                for key, n in counts[f"{kind}_by_{part}"].items():
+                    print(f"    {key:<12} {n:>8,}")
                 if kind == "calls":
                     print("    most-called functions:")
                     for function, n in top_functions(stats):
