@@ -39,7 +39,7 @@ def transmission_time_ns(bits: int, rate_bps: int) -> int:
     return div_round_half_up(bits * NS_PER_SEC, rate_bps)
 
 
-def _cancelled() -> None: ...  # the action of a cancelled heap entry
+def _cancelled(_) -> None: ...  # the action of a cancelled heap entry
 
 
 class Timer:
@@ -76,7 +76,8 @@ class Timer:
     def set(self, at: int) -> None:
         queued = self.entry
         if queued is None or at < queued[0]:
-            entry = self.engine.schedule(at, self._fire, self.tag)  # raises before any change
+            entry = self.engine.schedule(at, Timer._fire, self.tag)  # raises before any change
+            entry[3] = self
             if queued is not None:
                 self.cancel()
             self.entry = entry
@@ -138,17 +139,17 @@ class Engine:
         self.now = 0
         self.seed = seed
         self.recorder = Recorder()
-        self._heap: list[list] = []  # entries [at, seq, action]
+        self._heap: list[list] = []  # entries [at, seq, action, arg]
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
 
     def schedule(self, at: int, action, tag: str | None = None) -> list:
-        """Queue `action` to run at `at`; returns its heap entry `[at, seq, action]`."""
+        """Queue `action(arg)` at `at`; returns its entry `[at, seq, action, arg]`, arg None."""
         if at < self.now:
             raise ValueError(f"cannot schedule event at t={at} before current t={self.now}")
         seq = self._seq
         self._seq = seq + 1
-        entry = [at, seq, action]
+        entry = [at, seq, action, None]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -161,8 +162,8 @@ class Engine:
             raise ValueError(f"deadline {deadline} is before current t={self.now}")
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= deadline:
-            self.now, _, action = pop(heap)
-            action()
+            self.now, _, action, arg = pop(heap)
+            action(arg)
         self.now = deadline
         return self.now
 

@@ -10,7 +10,6 @@ round-trip propagation delay rounded down; the signal-free return path, the rest
 """
 
 from collections import deque
-from functools import partial
 
 from .engine import NS_PER_SEC, ConfigError, Engine, transmission_time_ns
 
@@ -181,8 +180,8 @@ class AqmLink:
         departs = free_at + whole
         self._free_at, self._ahead = departs, ahead
         fifo.append((departs, packet.flow_id, size))  # the packet is final, CE mark and all
-        self.engine.schedule(departs + self.prop_one_way_ns,
-                             partial(self.deliver[packet.flow_id], packet), "link.deliver")
+        self.engine.schedule(departs + self.prop_one_way_ns, self.deliver[packet.flow_id],
+                             "link.deliver")[3] = packet
         return disposition
 
     def retire(self, through: int) -> None:

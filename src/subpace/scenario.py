@@ -2,15 +2,13 @@
 
 A simulation owns one engine, one bottleneck link, and n sender/receiver
 pairs doing bulk transfers.  ACKs return over a signal-free path, the rest
-of the round-trip propagation delay; it can be black-holed mid-run to study
-timer behaviour under total loss of feedback.  Metrics are computed over
+of the round-trip propagation delay.  Metrics are computed over
 [warmup, duration] and are deterministic for a fixed (config, seed) pair.
 """
 
 import os
 from collections import defaultdict
 from collections.abc import Iterator
-from functools import partial
 
 from .analysis import jain_fairness
 from .config import ScenarioConfig, key_parser, with_value
@@ -116,7 +114,6 @@ class Simulation:
         self.cfg = cfg
         self.engine = Engine(seed=cfg.seed)
         self.engine.recorder = self.meter = Meter(cfg.warmup, cfg.duration, cfg.n_flows)
-        self.ack_blackhole = False
         self._started = False
 
         self.receivers = [
@@ -155,11 +152,11 @@ class Simulation:
             )
             for i in range(cfg.n_flows)
         ]
+        self.on_ack = [sender.on_ack for sender in self.senders]  # one callable per flow id
 
     def _return_ack(self, ack: Ack) -> None:
-        if not self.ack_blackhole:
-            self.engine.schedule(self.engine.now + self.ack_delay_ns,
-                                 partial(self.senders[ack.flow_id].on_ack, ack), "ack.deliver")
+        self.engine.schedule(self.engine.now + self.ack_delay_ns, self.on_ack[ack.flow_id],
+                             "ack.deliver")[3] = ack
 
     def run(self, until: int | None = None) -> "Simulation":
         """Advance to `until` (default: the duration) and retire departures up to it;
@@ -205,7 +202,8 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
 
     Every value is parsed and every row's config built before any row runs,
     so a bad value fails at once, and an unknown key fails even with no values.
-    The rows then run in worker processes, one per row and at most one per usable CPU.
+    The rows then run in the fewest worker processes, at least one per usable CPU
+    and at most one per row, whose last wave of rows still keeps every CPU busy.
     """
     parse = key_parser(field_name)
     raw_values = list(raw_values)
@@ -223,7 +221,9 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
     # Count the CPUs this process may run on: a cpuset can allow fewer than the host has.
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    with ProcessPoolExecutor(min(len(configs), cpus)) as pool:
+    rows = len(configs)  # 5 rows on 2 CPUs: 3 workers, so the last wave has 2 rows
+    workers = next(w for w in range(min(rows, cpus), rows + 1) if not 0 < rows % w < cpus)
+    with ProcessPoolExecutor(workers) as pool:
         return list(zip(raw_values, pool.map(run_scenario, configs)))
 
 

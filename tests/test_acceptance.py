@@ -15,7 +15,7 @@ from conftest import FixedWindowSender, log_recorder, log_sends
 from subpace import cli
 from subpace.analysis import balance_rtt_ns
 from subpace.config import ScenarioConfig, load_scenario
-from subpace.endpoint import RTO_MAX, Ack, TcpSender, Tuning
+from subpace.endpoint import RTO_MAX, Ack, Tuning
 from subpace.engine import MS, SEC, Engine
 from subpace.pacing import pacing_delay
 from subpace.scenario import Simulation, render_metrics_csv, run_scenario
@@ -118,7 +118,7 @@ def _interval_rig(window: int, rtt: int, mss: int = 1460):
     def wire(packet):
         sends.append(engine.now)
         ack = Ack(0, packet.end_bytes, False)
-        engine.schedule(engine.now + rtt, lambda: sender.on_ack(ack))
+        engine.schedule(engine.now + rtt, sender.on_ack)[3] = ack
 
     sender = FixedWindowSender(engine, 0, mss=mss, frame_overhead=58, mode="submss",
                                cc_variant="reno-like", ecn_capable=False, w_min=1,
@@ -189,7 +189,7 @@ def test_acceptance_6_delayed_ack_pairing(submss_run, nodelack_run):
               f"back-to-back gap share {frac_on:.2f} (on) vs {frac_off:.2f} (off)")
 
 
-def test_acceptance_7_backoff_replacement(monkeypatch):
+def test_acceptance_7_backoff_replacement():
     cfg = ScenarioConfig(
         capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460,
         base_rtt=6 * MS, aqm_policy="ramp-mark", aqm_target=1 * MS,
@@ -203,7 +203,11 @@ def test_acceptance_7_backoff_replacement(monkeypatch):
     sends = log_sends(sender)
     sim.run(10 * SEC)  # settle into a sub-segment window
 
-    sim.ack_blackhole = True
+    # Black-hole the ACK path, to study timer behaviour under total loss of
+    # feedback: each receiver's ACKs go nowhere until its `send_ack` is rebound.
+    return_acks = [receiver.send_ack for receiver in sim.receivers]
+    for receiver in sim.receivers:
+        receiver.send_ack = lambda ack: None
     mark = len(sends)
     sim.run(16 * SEC)
     retx_times = [t for (t, _, _, retx) in sends[mark:] if retx]
@@ -213,16 +217,17 @@ def test_acceptance_7_backoff_replacement(monkeypatch):
     assert abs(ratios[4] - 2.0) <= 0.2  # within 10% of doubling by the 5th
 
     # Path heals: the first ACK through must promptly enable the next send.
-    sim.ack_blackhole = False
+    for receiver, send_ack in zip(sim.receivers, return_acks):
+        receiver.send_ack = send_ack
     ack_seen = []
-    original_on_ack = TcpSender.on_ack
+    on_ack = sim.on_ack[sender.flow_id]
 
-    def spy(self, ack):  # on the class: a slotted sender takes no instance attribute
-        if self is sender and not ack_seen:
+    def spy(ack):  # takes this flow's place in the simulation's per-flow ACK dispatch
+        if not ack_seen:
             ack_seen.append(sim.engine.now)
-        original_on_ack(self, ack)
+        on_ack(ack)
 
-    monkeypatch.setattr(TcpSender, "on_ack", spy)
+    sim.on_ack[sender.flow_id] = spy
     sends_before = len(sends)
     sim.run(24 * SEC)
     assert ack_seen, "no ACK arrived after the path was restored"

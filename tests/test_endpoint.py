@@ -69,12 +69,10 @@ class LoopbackRig:
 
     def _transmit(self, packet):
         self.sends.append((self.engine.now, packet))
-        self.engine.schedule(self.engine.now + self.rtt // 2,
-                             lambda p=packet: self.receiver.on_segment(p))
+        self.engine.schedule(self.engine.now + self.rtt // 2, self.receiver.on_segment)[3] = packet
 
     def _return_ack(self, ack):
-        self.engine.schedule(self.engine.now + self.rtt // 2,
-                             lambda a=ack: self.sender.on_ack(a))
+        self.engine.schedule(self.engine.now + self.rtt // 2, self.sender.on_ack)[3] = ack
 
 
 # -- window clocking ----------------------------------------------------------
@@ -396,7 +394,8 @@ def test_only_apply_conceptual_reads_the_senders_floor():
     assert uses == {"Load": {"_apply_conceptual"}, "Store": {"__init__"}}
 
 
-def test_per_packet_functions_call_no_min_or_max_and_pass_no_keywords():
+def per_packet_function_nodes():
+    """(module, name, AST node) of each function PER_PACKET_FUNCTIONS lists."""
     for module, names in PER_PACKET_FUNCTIONS.items():
         path = SRC / "subpace" / module
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -406,12 +405,26 @@ def test_per_packet_functions_call_no_min_or_max_and_pass_no_keywords():
                              if isinstance(node, ast.FunctionDef))
         for name in names:
             assert name in functions, f"{module}: no function {name}"
-            calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)]
-            min_max = [call.lineno for call in calls
-                       if isinstance(call.func, ast.Name) and call.func.id in ("min", "max")]
-            keywords = [call.lineno for call in calls if call.keywords]
-            assert min_max == [], f"{module} {name}: builtin min/max on lines {min_max}"
-            assert keywords == [], f"{module} {name}: keyword arguments on lines {keywords}"
+            yield module, name, functions[name]
+
+
+def test_per_packet_functions_call_no_min_or_max_and_pass_no_keywords():
+    for module, name, function in per_packet_function_nodes():
+        calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+        min_max = [call.lineno for call in calls
+                   if isinstance(call.func, ast.Name) and call.func.id in ("min", "max")]
+        keywords = [call.lineno for call in calls if call.keywords]
+        assert min_max == [], f"{module} {name}: builtin min/max on lines {min_max}"
+        assert keywords == [], f"{module} {name}: keyword arguments on lines {keywords}"
+
+
+def test_per_packet_functions_build_no_partial_or_lambda():
+    # An event's argument rides in its heap entry, so no per-event callable is built.
+    for module, name, function in per_packet_function_nodes():
+        built = [node.lineno for node in ast.walk(function)
+                 if isinstance(node, ast.Lambda) or isinstance(node, ast.Call) and "partial" in (
+                     getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert built == [], f"{module} {name}: partial(...) or lambda on lines {built}"
 
 
 OPTIMIZED_ACK_CHECK = """

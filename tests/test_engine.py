@@ -1,9 +1,11 @@
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
 from conftest import examples
 from hypothesis import given, settings, strategies as st
+from reference import EagerTimer
 
 from subpace.engine import (
     MS, Engine, Timer, div_round_half_up, transmission_time_ns,
@@ -13,8 +15,8 @@ from subpace.engine import (
 def test_fifo_tie_break_at_equal_times():
     engine = Engine()
     order = []
-    engine.schedule(5, lambda: order.append("a"))
-    engine.schedule(5, lambda: order.append("b"))
+    engine.schedule(5, lambda _: order.append("a"))
+    engine.schedule(5, lambda _: order.append("b"))
     engine.run_until(10)
     assert order == ["a", "b"]
 
@@ -22,8 +24,8 @@ def test_fifo_tie_break_at_equal_times():
 def test_events_delivered_in_time_order():
     engine = Engine()
     order = []
-    engine.schedule(10, lambda: order.append(10))
-    engine.schedule(3, lambda: order.append(3))
+    engine.schedule(10, lambda _: order.append(10))
+    engine.schedule(3, lambda _: order.append(3))
     engine.run_until(100)
     assert order == [3, 10]
 
@@ -40,10 +42,10 @@ def test_cancelled_event_never_fires():
 
 def test_scheduling_in_the_past_fails_loudly():
     engine = Engine()
-    engine.schedule(5, lambda: None)
+    engine.schedule(5, lambda _: None)
     engine.run_until(10)
     with pytest.raises(ValueError):
-        engine.schedule(9, lambda: None)
+        engine.schedule(9, lambda _: None)
     with pytest.raises(ValueError, match="before current t=10"):
         engine.run_until(9)
     assert engine.now == 10
@@ -59,7 +61,7 @@ def test_run_until_delivers_only_up_to_deadline():
     engine = Engine()
     seen = []
     for t in (1, 2, 3):
-        engine.schedule(t, lambda t=t: seen.append(t))
+        engine.schedule(t, seen.append)[3] = t
     engine.run_until(2)
     assert seen == [1, 2]
     assert engine.now == 2
@@ -71,7 +73,7 @@ def test_clock_is_monotone_during_delivery():
     engine = Engine()
     observed = []
     for t in (4, 1, 9, 9, 2):
-        engine.schedule(t, lambda: observed.append(engine.now))
+        engine.schedule(t, lambda _: observed.append(engine.now))
     engine.run_until(20)
     assert observed == sorted(observed)
 
@@ -82,7 +84,7 @@ def test_trace_is_identical_across_reruns():
         rng = engine.stream("aqm/0")
         trace = []
         for i in range(50):
-            engine.schedule(i * 3, lambda i=i: trace.append((engine.now, i, rng.random())))
+            engine.schedule(i * 3, lambda i: trace.append((engine.now, i, rng.random())))[3] = i
         engine.run_until(500)
         return trace
 
@@ -167,7 +169,7 @@ def test_timer_set_from_its_own_action_rearms():
 def test_timer_fires_after_plain_event_scheduled_earlier_at_same_time():
     engine = Engine()
     order = []
-    engine.schedule(5, lambda: order.append("plain"))
+    engine.schedule(5, lambda _: order.append("plain"))
     timer = Timer(engine, lambda: order.append("timer"), "t")
     timer.set(5)
     engine.run_until(10)
@@ -222,43 +224,10 @@ def test_timer_set_again_after_stop_fires_after_plain_event_at_that_time():
     timer = Timer(engine, lambda: order.append("timer"), "t")
     timer.set(5)
     timer.stop()
-    engine.schedule(5, lambda: order.append("plain"))
+    engine.schedule(5, lambda _: order.append("plain"))
     timer.set(5)
     engine.run_until(10)
     assert order == ["plain", "timer"]
-
-
-def _noop():
-    pass
-
-
-class EagerTimer:
-    """Reference for `Timer`: every `set` schedules a fresh event and cancels the old one."""
-
-    def __init__(self, engine, action, tag):
-        self.engine = engine
-        self.action = action
-        self.tag = tag
-        self.deadline = None
-        self._entry = None  # the queued heap entry [at, seq, action]
-
-    def set(self, at):
-        entry = self.engine.schedule(at, self._fire, self.tag)
-        if self._entry is not None:
-            self._entry[2] = _noop
-        self._entry = entry
-        self.deadline = at
-
-    def stop(self):
-        if self._entry is not None:
-            self._entry[2] = _noop
-            self._entry = None
-            self.deadline = None
-
-    def _fire(self):
-        self._entry = None
-        self.deadline = None
-        self.action()
 
 
 N_TIMERS = 3
@@ -305,7 +274,7 @@ def run_timer_plan(timer_cls, steps, reactions, engine=None):
     timers = [timer_cls(engine, partial(on_timer, i), "t") for i in range(N_TIMERS)]
     for n, step in enumerate(steps + [("run", 100)]):
         if step[0] == "event":
-            engine.schedule(engine.now + step[1], partial(on_event, f"event {n}", step[2]))
+            engine.schedule(engine.now + step[1], partial(on_event, f"event {n}"))[3] = step[2]
         elif step[0] == "run":
             engine.run_until(engine.now + step[1])
         else:
@@ -329,20 +298,28 @@ class CountingEngine(Engine):
         self.scheduled, self.fired = Counter(), Counter()
 
     def schedule(self, at, action, tag=None):
-        def counted():
+        def counted(arg):
             self.fired[tag] += 1
-            action()
+            action(arg)
 
         self.scheduled[tag] += 1
         return super().schedule(at, counted, tag)
 
 
-class CountingTimer(Timer):
-    """A `Timer` that counts the runs of its `_fire` on its `CountingEngine`."""
+@contextmanager
+def counting_timer_fires(engine):
+    """Count each run of `Timer._fire` on `engine`, a `CountingEngine`, while in the block."""
+    fire = Timer._fire
 
-    def _fire(self):
-        self.engine.fired["_fire"] += 1
-        super()._fire()
+    def counted(timer):
+        engine.fired["_fire"] += 1
+        fire(timer)
+
+    Timer._fire = counted
+    try:
+        yield
+    finally:
+        Timer._fire = fire
 
 
 @settings(max_examples=examples(200))
@@ -355,7 +332,8 @@ def test_cancelled_entries_never_reach_their_callable(steps, reactions):
     assert engine.fired[None] == engine.scheduled[None] == len(log) - fires
 
     engine = CountingEngine()
-    assert run_timer_plan(CountingTimer, steps, reactions, engine)[0] == log
+    with counting_timer_fires(engine):
+        assert run_timer_plan(Timer, steps, reactions, engine)[0] == log
     assert engine.fired["t"] == engine.fired["_fire"]
 
 

@@ -1,14 +1,14 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 
 import pytest
 from conftest import examples, log_recorder
 from hypothesis import assume, example, given, settings, strategies as st
+from reference import EventLink
 
-from subpace.engine import MS, SEC, US, ConfigError, Engine, transmission_time_ns
+from subpace.engine import MS, SEC, US, ConfigError, Engine
 from subpace.netpath import (
     DROPPED, MARKED, QUEUED, AqmLink, Packet, check_link, target_backlog,
 )
@@ -261,60 +261,6 @@ def test_enqueues_below_the_target_draw_the_aqm_stream_once_each(policy, seed, n
     assert link.rng.getstate() == reference.getstate()
 
 
-class EventLink(AqmLink):
-    """Reference for `AqmLink`: the event-driven link, whose `link.depart` event
-    retires each frame when it finishes serializing, and whose AQM reads the ramp
-    on every enqueue.  A frame finishes at its busy period's start plus the time
-    to serialize every bit of that period so far, rounded half up."""
-
-    def enqueue(self, packet):
-        if not 0 < packet.size <= self.max_frame:
-            raise ValueError(f"packet size must be in (0, {self.max_frame}] B, got {packet.size}")
-        if packet.ce_marked and not packet.ecn_capable:
-            raise ValueError("ce_marked requires ecn_capable")
-        now = self.engine.now
-        if self.backlog + packet.size > self.buffer_limit:
-            return self._drop(now)
-        if self.policy != "drop-tail":
-            if self.rng.random() < self.signal_probability():
-                if self.policy == "red-drop":
-                    return self._drop(now)
-                if packet.ecn_capable:
-                    packet.ce_marked = True
-                    self.engine.recorder.mark(now)
-                    self._admit(now, packet)
-                    return MARKED
-                return self._drop(now)
-        self._admit(now, packet)
-        return QUEUED
-
-    def retire(self, through):
-        pass
-
-    def _admit(self, now, packet):
-        self.backlog += packet.size
-        self.engine.recorder.backlog(now, self.backlog)
-        self._fifo.append(packet)
-        if len(self._fifo) == 1:  # the link was idle: a busy period starts
-            self._busy_from, self._busy_bits = now, 0
-            self._start_service()
-
-    def _start_service(self):
-        self._busy_bits += self._fifo[0].size * 8
-        departs = self._busy_from + transmission_time_ns(self._busy_bits, self.capacity_bps)
-        self.engine.schedule(departs, self._depart, tag="link.depart")
-
-    def _depart(self):
-        now = self.engine.now
-        packet = self._fifo.popleft()
-        self.backlog -= packet.size
-        self.engine.recorder.departure(now, packet.flow_id, packet.size, self.backlog)
-        self.engine.schedule(now + self.prop_one_way_ns,
-                             partial(self.deliver[packet.flow_id], packet), tag="link.deliver")
-        if self._fifo:
-            self._start_service()
-
-
 def run_arrival_plan(link_cls, policy, seed, plan, capacity=40_000_000):
     """Dispositions, recorder rows and deliveries (time, seq, ce_marked) of one link
     fed `plan`, a list of (gap before the arrival in ns, frame size, ecn_capable)."""
@@ -329,7 +275,7 @@ def run_arrival_plan(link_cls, policy, seed, plan, capacity=40_000_000):
     for i, (gap, size, ecn) in enumerate(plan):
         now += gap
         packet = Packet(flow_id=i % 3, seq_bytes=i, end_bytes=i + 1, size=size, ecn_capable=ecn)
-        engine.schedule(now, lambda p=packet: dispositions.append(link.enqueue(p)))
+        engine.schedule(now, lambda p: dispositions.append(link.enqueue(p)))[3] = packet
     engine.run_until(now + SEC)
     link.retire(engine.now)
     return dispositions, log.rows, delivered

@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from subpace.config import (
     with_value,
 )
 from subpace.endpoint import Ack, ProtocolError, TcpSender, Tuning
-from subpace.engine import MS, SEC, Engine, transmission_time_ns
+from subpace.engine import MS, SEC, US, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
     Meter,
@@ -297,6 +298,24 @@ def test_metrics_csv_is_byte_stable_across_runs():
     assert trailer == ""
 
 
+def shipped_config(path, warmup, duration):
+    """A shipped scenario cut short; the warmup goes first, as the file's is longer."""
+    return with_value(with_value(load_scenario(path), "warmup", warmup), "duration", duration)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda path: path.stem)
+def test_chunked_runs_give_the_same_csv(path):
+    # Chunks of 1 ns to 5 ms, half of them under 1 us, stop the engine at
+    # arbitrary instants, with departures not yet retired.
+    cfg = shipped_config(path, 1 * SEC, 3 * SEC)
+    whole = render_metrics_csv(Simulation(cfg).run().metrics())
+    sim, rng, until = Simulation(cfg), random.Random(path.stem), 0
+    while until < cfg.duration:
+        until += rng.randint(1, US) if rng.random() < 0.5 else rng.randint(1, 5 * MS)
+        sim.run(min(until, cfg.duration))
+    assert render_metrics_csv(sim.metrics()) == whole
+
+
 def test_different_seeds_differ():
     base = small_config()
     a = render_metrics_csv(run_scenario(base))
@@ -349,14 +368,8 @@ def test_sweep_empty_values_gives_header_only(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("affinity, cpu_count, workers", [
-    ({3, 5}, 8, 2),  # a cpuset smaller than the host: its size, not the host's CPUs
-    ({0}, 8, 1),
-    (set(range(16)), 8, 5),  # never more workers than rows
-    (None, 4, 4),  # no affinity call: the host's CPUs
-    (None, None, 1),
-])
-def test_sweep_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, workers):
+def record_sweep_pool(monkeypatch, affinity, cpu_count, n_rows):
+    """The pool sizes a sweep of n_rows asks for on this many CPUs, and its rows."""
     import concurrent.futures
 
     pools = []
@@ -381,9 +394,31 @@ def test_sweep_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_cou
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scenario, "run_scenario", lambda cfg: cfg.n_flows)
-    rows = sweep(small_config(), "n_flows", ["1", "2", "3", "4", "5"])
+    rows = sweep(small_config(), "n_flows", [str(n) for n in range(1, n_rows + 1)])
+    return pools, rows
+
+
+# With c CPUs, w workers and n equal rows, the last wave runs n % w rows; it
+# idles CPUs when 0 < n % w < c, so the pool takes the fewest workers, at
+# least min(n, c), whose last wave is full or keeps every CPU busy.
+@pytest.mark.parametrize("affinity, cpu_count, workers", [
+    ({3, 5}, 8, 3),  # a cpuset smaller than the host: its size, not the host's CPUs
+    ({0}, 8, 1),
+    (set(range(16)), 8, 5),  # never more workers than rows
+    (None, 4, 5),  # no affinity call: the host's CPUs
+    (None, None, 1),
+])
+def test_sweep_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, workers):
+    pools, rows = record_sweep_pool(monkeypatch, affinity, cpu_count, 5)
     assert pools == [workers]
     assert rows == [(str(n), n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("n_rows, workers", [(6, 2), (7, 4), (8, 2), (9, 3)])
+def test_sweep_pool_last_wave_keeps_every_cpu_busy(monkeypatch, n_rows, workers):
+    pools, rows = record_sweep_pool(monkeypatch, {0, 1}, 8, n_rows)
+    assert pools == [workers]
+    assert rows == [(str(n), n) for n in range(1, n_rows + 1)]
 
 
 def test_sweep_unknown_field_is_an_error():

@@ -200,9 +200,12 @@ def staged(scenario, cfg, tuning) -> None:
     """Run with the ACK path severed from 5/12 to 2/3 of the duration, as acceptance 7 does."""
     sim = scenario.Simulation(cfg, tuning)
     sim.run(cfg.duration * 5 // 12)
-    sim.ack_blackhole = True
+    return_acks = [receiver.send_ack for receiver in sim.receivers]
+    for receiver in sim.receivers:
+        receiver.send_ack = lambda ack: None  # each ACK goes nowhere
     sim.run(cfg.duration * 2 // 3)
-    sim.ack_blackhole = False
+    for receiver, send_ack in zip(sim.receivers, return_acks):
+        receiver.send_ack = send_ack
     sim.run().metrics()
 
 

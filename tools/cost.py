@@ -10,8 +10,10 @@ the call counts in `cProfile.Profile().getstats()`, builtins included, in
 total and by the `src/subpace` module that defines the callee ("other" for
 builtins and the standard library); the table also names the 15 most-called
 functions of each run.  Bytecodes are the opcodes executed in
-Python frames, counted by a `sys.settrace` hook with `f_trace_opcodes`; they
-take seconds per run, so only the table shows them.  Events are the calls of
+Python frames, counted by a `sys.settrace` hook with `f_trace_opcodes`, by
+module and by opcode name; they take seconds per run, so only the table
+shows them.  The opcode names show work that makes no Python call, such as
+building a `functools.partial` or a bound method.  Events are the calls of
 `Engine.schedule`, by tag, counted through a wrapper in a run of their own
 without a profiler (a `Timer` that queues its entry again does so without
 `schedule`); only the table shows them too.  Wall time moves with the
@@ -21,6 +23,7 @@ keys them by interpreter version.
 
 import argparse
 import cProfile
+import dis
 import json
 import platform
 import sys
@@ -91,15 +94,15 @@ def top_functions(stats, n: int = 15) -> list[tuple[str, int]]:
 
 
 def count_bytecodes(cfg) -> dict:
-    by_module = Counter()
+    by_site = Counter()  # (code, offset of the instruction) -> executions
 
     def on_call(frame, event, arg):
         frame.f_trace_opcodes = True
-        module = module_of(frame.f_code)
+        code = frame.f_code
 
         def on_opcode(frame, event, arg):
             if event == "opcode":
-                by_module[module] += 1
+                by_site[code, frame.f_lasti] += 1
             return on_opcode
 
         return on_opcode
@@ -109,8 +112,13 @@ def count_bytecodes(cfg) -> dict:
         Simulation(cfg).run().metrics()
     finally:
         sys.settrace(None)
+    by_module, by_opcode = Counter(), Counter()
+    for (code, offset), n in by_site.items():
+        by_module[module_of(code)] += n
+        by_opcode[dis.opname[code.co_code[offset]]] += n
     return {"bytecodes": sum(by_module.values()),
-            "bytecodes_by_module": dict(sorted(by_module.items()))}
+            "bytecodes_by_module": dict(sorted(by_module.items())),
+            "bytecodes_by_opcode": dict(sorted(by_opcode.items(), key=lambda item: -item[1]))}
 
 
 def count_events(cfg) -> dict:
@@ -163,6 +171,10 @@ def main() -> int:
                     print("    most-called functions:")
                     for function, n in top_functions(stats):
                         print(f"      {n:>12,}  {function}")
+                if kind == "bytecodes":
+                    print("    by opcode, most-executed first:")
+                    for opcode, n in counts["bytecodes_by_opcode"].items():
+                        print(f"      {n:>12,}  {opcode}")
     return 0
 
 
