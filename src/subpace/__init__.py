@@ -8,7 +8,7 @@ the AQM's intended operating point.
 
 from .analysis import balance_rtt_ns, jain_fairness, pkt_per_rtt_floor, window_region_grid
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text
-from .endpoint import Ack, ProtocolError, TcpReceiver, TcpSender, Tuning
+from .endpoint import Ack, ProtocolError, TcpReceiver, TcpSender
 from .engine import Engine, Recorder
 from .netpath import AqmLink, Packet
 from .pacing import Pacer, pacing_delay, segment_size
@@ -28,7 +28,6 @@ __all__ = [
     "Simulation",
     "TcpReceiver",
     "TcpSender",
-    "Tuning",
     "balance_rtt_ns",
     "jain_fairness",
     "load_scenario",

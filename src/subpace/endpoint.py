@@ -39,7 +39,9 @@ CC_VARIANTS = (RENO_LIKE, DCTCP_LIKE)
 
 DCTCP_GAIN = 1.0 / 16.0
 
-# Fixed endpoint timing; Tuning holds only what tests vary.
+# Fixed endpoint timing.  `current_rto` reads the RTO bounds each time it runs.
+RTO_MIN = 200 * MS
+RTO_INITIAL = 1 * SEC
 RTO_MAX = 60 * SEC
 INITIAL_RTT = 100 * MS  # pacing and ECE-gate RTT before the first sample
 DELACK_TIMEOUT = 40 * MS
@@ -59,26 +61,6 @@ def check_sender(mode: str, cc_variant: str) -> None:
                           f"expected one of {', '.join(CC_VARIANTS)}, got {cc_variant!r}")
 
 
-class Tuning:
-    """Sender constants that tests vary; defaults follow common practice.  Read-only."""
-
-    __slots__ = ("rto_min", "rto_initial")
-
-    def __init__(self, rto_min: int = 200 * MS, rto_initial: int = 1 * SEC):
-        for name, value in zip(self.__slots__, (rto_min, rto_initial)):
-            if not 0 < value <= RTO_MAX:
-                raise ConfigError(name, f"must be positive and at most {RTO_MAX} ns, got {value}")
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Tuning is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
-DEFAULT_TUNING = Tuning()
-
-
 class Ack:
     __slots__ = ("flow_id", "ack_bytes", "ece")
 
@@ -89,11 +71,11 @@ class Ack:
 
 
 class TcpSender:
-    # Slotted: 31 attributes are past the 30 keys a CPython 3.11 instance dict
-    # shares with its class, which would leave every read on the hint path.
+    # Slotted: at 30 attributes a CPython 3.11 instance dict stops sharing its
+    # keys with the class, which would leave every read on the hint path.
     __slots__ = (
         "engine", "flow_id", "mss", "frame_overhead", "mode", "cc_variant", "ecn_capable",
-        "floor", "transmit", "tuning", "window", "slow_start", "snd_una", "snd_nxt", "snd_q",
+        "floor", "transmit", "window", "slow_start", "snd_una", "snd_nxt", "snd_q",
         "unreclaimed", "srtt", "rttvar", "rto_backoff", "dup_acks", "recovery_until",
         "ece_gate_until", "segments", "retx_head", "_ca_acked", "dctcp_alpha", "_dctcp_acked",
         "_dctcp_marked", "_dctcp_window_end", "pacer", "rto_timer",
@@ -110,7 +92,6 @@ class TcpSender:
         ecn_capable: bool,
         w_min: int,
         transmit,
-        tuning: Tuning = DEFAULT_TUNING,
     ):
         check_sender(mode, cc_variant)
         if mss < 1:
@@ -128,7 +109,6 @@ class TcpSender:
         self.ecn_capable = ecn_capable
         self.floor = 2 * mss if mode == BASELINE else w_min  # the least congestion window
         self.transmit = transmit
-        self.tuning = tuning
 
         self.window = 2 * mss  # signed clocking balance
         self.slow_start = True
@@ -179,12 +159,11 @@ class TcpSender:
     def current_rto(self) -> int:
         # Plain comparisons, not min/max: this runs on every send and ACK.
         if self.srtt is None:
-            base = self.tuning.rto_initial
+            base = RTO_INITIAL
         else:
             spread = 4 * self.rttvar
             base = self.srtt + (spread if spread > 1 else 1)
-        rto_min = self.tuning.rto_min
-        rto = (base if base > rto_min else rto_min) * self.rto_backoff
+        rto = (base if base > RTO_MIN else RTO_MIN) * self.rto_backoff
         return rto if rto < RTO_MAX else RTO_MAX
 
     def _next_segment(self) -> tuple[bool, int]:
@@ -325,13 +304,13 @@ class TcpSender:
         if self.slow_start:
             self.window += advance if advance < self.mss else self.mss
             return
-        # Byte-counted additive increase, so the growth rate per RTT does not
-        # depend on how many segments each ACK covers.  One MSS per window per
-        # RTT at large windows; below a few segments the step tapers with the
-        # window so the 1/W form cannot overshoot a sub-segment window, while
-        # the quarter-MSS lower bound keeps recovery from the floor additive
-        # rather than proportional (a crushed flow must be able to climb back
-        # against ambient marking).
+        # Byte-counted, so the growth per RTT does not depend on how many
+        # segments each ACK covers.  Each window of bytes ACKed (at least one
+        # MSS) adds a quarter of the window, at least MSS/4 and at most one MSS.
+        # An RTT ACKs one window, so from 4 MSS up the window grows by one MSS
+        # per RTT, and below 4 MSS by W/4 per RTT (x1.25): under one MSS the
+        # MSS/4 per MSS ACKed also comes to W/4 per RTT.  So a crushed flow
+        # climbs back from the floor geometrically, not additively.
         mss = self.mss
         self._ca_acked += advance
         while True:

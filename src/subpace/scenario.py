@@ -12,7 +12,7 @@ from collections.abc import Iterator
 
 from .analysis import jain_fairness
 from .config import ScenarioConfig, key_parser, with_value
-from .endpoint import DEFAULT_TUNING, Ack, TcpReceiver, TcpSender, Tuning
+from .endpoint import Ack, TcpReceiver, TcpSender
 from .engine import NS_PER_SEC, Engine, Recorder, transmission_time_ns
 from .netpath import AqmLink
 
@@ -110,7 +110,7 @@ class Meter(Recorder):
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, tuning: Tuning = DEFAULT_TUNING):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.engine = Engine(seed=cfg.seed)
         self.engine.recorder = self.meter = Meter(cfg.warmup, cfg.duration, cfg.n_flows)
@@ -148,7 +148,6 @@ class Simulation:
                 ecn_capable=cfg.ecn,
                 w_min=cfg.w_min_bytes,
                 transmit=self.link.enqueue,
-                tuning=tuning,
             )
             for i in range(cfg.n_flows)
         ]

@@ -1,5 +1,8 @@
+from unittest.mock import patch
+
 from hypothesis import settings
 
+from subpace import endpoint
 from subpace.config import KEYS, ScenarioConfig
 from subpace.endpoint import TcpSender
 from subpace.engine import Recorder
@@ -62,6 +65,16 @@ class FixedWindowSender(TcpSender):
 
     def _grow(self, now, advance):
         pass
+
+
+def rto_timers(rto_min: int, rto_initial: int):
+    """Set the endpoint's RTO floor and initial RTO for a `with` block or a decorated test.
+
+    Senders read both constants each time they arm the RTO, so the values hold
+    for senders built before the block as well as inside it.  Each call makes
+    a fresh patch, so it also serves inside a hypothesis test's body.
+    """
+    return patch.multiple(endpoint, RTO_MIN=rto_min, RTO_INITIAL=rto_initial)
 
 
 def log_recorder(engine) -> LoggingRecorder:

@@ -3,8 +3,9 @@
 `EagerTimer` stands in for `engine.Timer`: every `set` schedules a fresh
 entry and cancels the old one.  `EventLink` stands in for `netpath.AqmLink`:
 a `link.depart` event retires each frame, and the AQM reads its ramp on every
-enqueue.  Tests compare each against the part it stands in for, alone and
-inside a whole `Simulation`.
+enqueue.  `reference_queue_delay_stats` stands in for
+`Meter.queue_delay_stats`: it sorts a whole backlog step log.  Tests compare
+each against the part it stands in for, alone and inside a whole `Simulation`.
 """
 
 from subpace.engine import transmission_time_ns
@@ -97,3 +98,34 @@ class EventLink(AqmLink):
                              tag="link.deliver")[3] = packet
         if self._fifo:
             self._start_service()
+
+
+def reference_queue_delay_stats(steps, capacity_bps, start, end) -> tuple[int, int]:
+    """Time-weighted mean and p95 of queue delay from a full step log (sort-based)."""
+    pieces: list[tuple[int, int]] = []  # (delay_ns, duration_ns)
+    prev_t, prev_backlog = start, 0
+    for t, backlog in steps:
+        if t <= start:
+            prev_backlog = backlog
+            continue
+        if t >= end:
+            break
+        if t > prev_t:
+            pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), t - prev_t))
+        prev_t, prev_backlog = t, backlog
+    if prev_t < end:
+        pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), end - prev_t))
+    total = end - start
+    if total <= 0 or not pieces:
+        return 0, 0
+    mean = round(sum(delay * dur for delay, dur in pieces) / total)
+    pieces.sort()
+    cutoff = 0.95 * total
+    seen = 0
+    p95 = pieces[-1][0]
+    for delay, dur in pieces:
+        seen += dur
+        if seen >= cutoff:
+            p95 = delay
+            break
+    return mean, p95

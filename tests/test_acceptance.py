@@ -10,12 +10,12 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from conftest import FixedWindowSender, log_recorder, log_sends
+from conftest import FixedWindowSender, log_recorder, log_sends, rto_timers
 
 from subpace import cli
 from subpace.analysis import balance_rtt_ns
 from subpace.config import ScenarioConfig, load_scenario
-from subpace.endpoint import RTO_MAX, Ack, Tuning
+from subpace.endpoint import RTO_MAX, Ack
 from subpace.engine import MS, SEC, Engine
 from subpace.pacing import pacing_delay
 from subpace.scenario import Simulation, render_metrics_csv, run_scenario
@@ -109,11 +109,11 @@ def test_acceptance_3_submss_restores_target(submss_sim):
               f"{metrics.mean_pkts_per_rtt_per_flow:.2f} pkt/RTT")
 
 
-def _interval_rig(window: int, rtt: int, mss: int = 1460):
-    """Sender with a fixed window over a wire that ACKs every segment one RTT later."""
+def _interval_rig(window: int, rtt: int, until: int, mss: int = 1460) -> list[int]:
+    """Send times, to `until`, of a sender with a fixed window over a wire that
+    ACKs every segment one RTT later; no RTO fires before RTO_MAX."""
     engine = Engine()
     sends = []
-    quiet = Tuning(rto_min=RTO_MAX, rto_initial=RTO_MAX)
 
     def wire(packet):
         sends.append(engine.now)
@@ -122,23 +122,23 @@ def _interval_rig(window: int, rtt: int, mss: int = 1460):
 
     sender = FixedWindowSender(engine, 0, mss=mss, frame_overhead=58, mode="submss",
                                cc_variant="reno-like", ecn_capable=False, w_min=1,
-                               transmit=wire, tuning=quiet)
+                               transmit=wire)
     sender.window = window
-    sender.app_write(1 << 40)
-    return engine, sends
+    with rto_timers(RTO_MAX, RTO_MAX):
+        sender.app_write(1 << 40)
+        engine.run_until(until)
+    return sends
 
 
 def test_acceptance_4_exact_interval_law():
     rtt, mss = 6 * MS, 1460
     window = 730
-    engine, sends = _interval_rig(window, rtt, mss)
-    engine.run_until(13_000 * MS)
+    sends = _interval_rig(window, rtt, 13_000 * MS, mss)
     gaps = {b - a for a, b in zip(sends, sends[1:])}
     assert len(sends) > 1000
     assert gaps == {rtt + pacing_delay(mss, window, rtt)}  # every gap s*R/W exactly
 
-    engine2, sends2 = _interval_rig(window // 2, rtt, mss)
-    engine2.run_until(26_000 * MS)
+    sends2 = _interval_rig(window // 2, rtt, 26_000 * MS, mss)
     halved_gaps = {b - a for a, b in zip(sends2, sends2[1:])}
     assert halved_gaps == {2 * (rtt + pacing_delay(mss, window, rtt))}
     report(4, f"interval law: {len(sends)} emissions all exactly s*R/W = "
@@ -189,6 +189,7 @@ def test_acceptance_6_delayed_ack_pairing(submss_run, nodelack_run):
               f"back-to-back gap share {frac_on:.2f} (on) vs {frac_off:.2f} (off)")
 
 
+@rto_timers(10 * MS, 1 * SEC)
 def test_acceptance_7_backoff_replacement():
     cfg = ScenarioConfig(
         capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460,
@@ -197,8 +198,7 @@ def test_acceptance_7_backoff_replacement():
         cc_variant="dctcp-like", ecn=True, delayed_acks=False,
         duration=24 * SEC, warmup=2 * SEC, seed=3, w_min_fraction=1.0 / 1024,
     )
-    tuning = Tuning(rto_min=10 * MS, rto_initial=1 * SEC)
-    sim = Simulation(cfg, tuning=tuning)
+    sim = Simulation(cfg)
     sender = sim.senders[0]
     sends = log_sends(sender)
     sim.run(10 * SEC)  # settle into a sub-segment window

@@ -10,19 +10,19 @@ from itertools import pairwise, takewhile
 from pathlib import Path
 
 import pytest
-from conftest import FixedWindowSender, examples, log_recorder
+from conftest import FixedWindowSender, examples, log_recorder, rto_timers
 from hypothesis import example, given, settings, strategies as st
 
 from subpace.config import load_scenario, with_value
 from subpace.endpoint import (
-    DEFAULT_TUNING,
     INITIAL_RTT,
+    RTO_INITIAL,
     RTO_MAX,
+    RTO_MIN,
     Ack,
     ProtocolError,
     TcpReceiver,
     TcpSender,
-    Tuning,
 )
 from subpace.engine import MS, SEC, Engine
 from subpace.netpath import Packet
@@ -32,11 +32,10 @@ from subpace.scenario import Simulation
 M = 1460
 OVERHEAD = 58
 FAR_FUTURE = RTO_MAX
-QUIET_TIMERS = Tuning(rto_min=FAR_FUTURE, rto_initial=FAR_FUTURE)
 
 
-def make_sender(engine, transmit, mode="submss", tuning=QUIET_TIMERS, ecn=True,
-                cc="reno-like", w_min=M // 64, grow=True):
+def make_sender(engine, transmit, mode="submss", ecn=True, cc="reno-like", w_min=M // 64,
+                grow=True):
     """A flow-0 sender; with grow=False its window stays where the test sets it."""
     return (TcpSender if grow else FixedWindowSender)(
         engine,
@@ -48,7 +47,6 @@ def make_sender(engine, transmit, mode="submss", tuning=QUIET_TIMERS, ecn=True,
         ecn_capable=ecn,
         w_min=w_min,
         transmit=transmit,
-        tuning=tuning,
     )
 
 
@@ -59,12 +57,11 @@ def ack_for(sender, nbytes, ece=False):
 class LoopbackRig:
     """Sender wired to an auto-ACKing sink a fixed RTT away."""
 
-    def __init__(self, rtt=6 * MS, mode="submss", tuning=QUIET_TIMERS, delayed_acks=False):
+    def __init__(self, rtt=6 * MS, mode="submss", delayed_acks=False):
         self.engine = Engine()
         self.rtt = rtt
         self.sends = []
-        self.sender = make_sender(self.engine, self._transmit, mode=mode, tuning=tuning,
-                                  grow=False)
+        self.sender = make_sender(self.engine, self._transmit, mode=mode, grow=False)
         self.receiver = TcpReceiver(self.engine, 0, self._return_ack, delayed_acks=delayed_acks)
 
     def _transmit(self, packet):
@@ -243,6 +240,26 @@ def test_slow_start_grows_by_the_bytes_acked_below_one_segment(mode):
     sender.on_ack(Ack(0, M + 100, False))
     assert sender.slow_start
     assert sender.conceptual_window == 3 * M + 100
+
+
+def test_congestion_avoidance_grows_a_quarter_window_per_rtt_below_4_mss_and_one_mss_above():
+    # An RTT ACKs one conceptual window.  Below 4 MSS that adds a quarter of
+    # it (x1.25 per RTT); at or above 4 MSS it adds one MSS.
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, mode="baseline")
+    sender.slow_start = False
+    sender.window = 100 * M
+    sender.app_write(100 * M)  # every segment goes out at t = 0
+    sender.window = M - sender.unreclaimed  # a one-MSS congestion window; nothing more sends
+    windows = [sender.conceptual_window]
+    while windows[-1] < 8 * M:
+        engine.run_until(engine.now + 1 * MS)
+        sender.on_ack(Ack(0, sender.snd_una + windows[-1], False))
+        windows.append(sender.conceptual_window)
+    assert sender.snd_nxt == 100 * M  # the ACKs sent nothing
+    assert windows[:7] == [1460, 1825, 2281, 2851, 3563, 4453, 5566]
+    for before, after in pairwise(windows):
+        assert after == before + (before // 4 if before < 4 * M else M)
 
 
 def test_dctcp_alpha_update_and_cut():
@@ -474,7 +491,6 @@ SENDER_STEPS = st.one_of(
 @example("submss", "reno-like", 1, [("write", M), ("wait", 150 * MS), ("ack", 1, False)])
 def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min, steps):
     engine = Engine()
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
     balances = []  # the window right after each new-data send
 
     def transmit(packet):
@@ -482,43 +498,46 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min,
         if not packet.is_retransmission:
             balances.append(sender.window)
 
-    sender = make_sender(engine, transmit, mode=mode, cc=cc, tuning=tuning, w_min=w_min)
+    sender = make_sender(engine, transmit, mode=mode, cc=cc, w_min=w_min)
     assert sender.conceptual_window >= sender.floor >= 1
-    for step in steps:
-        if step[0] == "write":
-            sender.app_write(step[1])
-        elif step[0] == "ack":  # cumulative ACK to the end of a segment sent before now
-            _, count, ece = step
-            covered = list(takewhile(lambda p: p.sent_at < engine.now, sender.segments))[:count]
-            acked = covered[-1].end_bytes if covered else sender.snd_una
-            sender.on_ack(Ack(0, acked, ece))
-        elif step[0] == "dup":
-            sender.on_ack(Ack(0, sender.snd_una, step[1]))
-        else:
-            engine.run_until(engine.now + step[1])
-        # After a reduction with a full pipe the balance sits far below zero;
-        # only a new-data send is bound to leave it above -MSS.
-        assert all(balance > -M for balance in balances)
-        assert sender.conceptual_window >= sender.floor >= 1
-        assert sender.rto_timer.deadline is None or sender.in_flight > 0
-        # A wait is pending only while there is a segment for it to send, and
-        # it is priced for the current window from its epoch (or due at once).
-        assert not sender.pacer.waiting or sender._next_segment()[1] > 0
-        if sender.pacer.waiting:
-            pacer = sender.pacer
-            due = pacer.epoch + pacing_delay(sender._next_segment()[1], sender.window, sender.rtt())
-            assert pacer.timer.deadline == (due if due > engine.now else engine.now)
-        assert sender.snd_una <= sender.snd_nxt
-        if mode == "baseline":
-            assert sender.unreclaimed == sender.in_flight
-        # The retained segments tile the unacknowledged range, each in one frame.
-        segments = sender.segments
-        assert (not segments) == (sender.snd_una == sender.snd_nxt)
-        if segments:
-            assert segments[0].seq_bytes <= sender.snd_una < segments[0].end_bytes
-            assert all(a.end_bytes == b.seq_bytes for a, b in pairwise(segments))
-            assert segments[-1].end_bytes == sender.snd_nxt
-        assert all(p.size == p.end_bytes - p.seq_bytes + OVERHEAD for p in segments)
+    with rto_timers(50 * MS, 50 * MS):
+        for step in steps:
+            if step[0] == "write":
+                sender.app_write(step[1])
+            elif step[0] == "ack":  # cumulative ACK to the end of a segment sent before now
+                _, count, ece = step
+                sent = takewhile(lambda p: p.sent_at < engine.now, sender.segments)
+                covered = list(sent)[:count]
+                acked = covered[-1].end_bytes if covered else sender.snd_una
+                sender.on_ack(Ack(0, acked, ece))
+            elif step[0] == "dup":
+                sender.on_ack(Ack(0, sender.snd_una, step[1]))
+            else:
+                engine.run_until(engine.now + step[1])
+            # After a reduction with a full pipe the balance sits far below zero;
+            # only a new-data send is bound to leave it above -MSS.
+            assert all(balance > -M for balance in balances)
+            assert sender.conceptual_window >= sender.floor >= 1
+            assert sender.rto_timer.deadline is None or sender.in_flight > 0
+            # A wait is pending only while there is a segment for it to send, and
+            # it is priced for the current window from its epoch (or due at once).
+            assert not sender.pacer.waiting or sender._next_segment()[1] > 0
+            if sender.pacer.waiting:
+                pacer = sender.pacer
+                due = pacer.epoch + pacing_delay(sender._next_segment()[1], sender.window,
+                                                 sender.rtt())
+                assert pacer.timer.deadline == (due if due > engine.now else engine.now)
+            assert sender.snd_una <= sender.snd_nxt
+            if mode == "baseline":
+                assert sender.unreclaimed == sender.in_flight
+            # The retained segments tile the unacknowledged range, each in one frame.
+            segments = sender.segments
+            assert (not segments) == (sender.snd_una == sender.snd_nxt)
+            if segments:
+                assert segments[0].seq_bytes <= sender.snd_una < segments[0].end_bytes
+                assert all(a.end_bytes == b.seq_bytes for a, b in pairwise(segments))
+                assert segments[-1].end_bytes == sender.snd_nxt
+            assert all(p.size == p.end_bytes - p.seq_bytes + OVERHEAD for p in segments)
 
 
 @pytest.mark.parametrize("w_min", [0, -1, M + 1, 3 * M])
@@ -527,27 +546,25 @@ def test_sender_rejects_w_min_outside_one_byte_to_one_segment(w_min):
         make_sender(Engine(), lambda p: None, w_min=w_min)
 
 
-@pytest.mark.parametrize("field", ["rto_min", "rto_initial"])
-@pytest.mark.parametrize("value", [0, -1 * MS, RTO_MAX + 1, 3600 * SEC])
-def test_tuning_rejects_timers_outside_the_rto_range(field, value):
-    # current_rto caps every timer at RTO_MAX, so a longer one would silently
-    # be shorter than asked for.
-    with pytest.raises(ValueError, match=field):
-        Tuning(**{field: value})
+def test_rto_constants_order_floor_initial_and_ceiling():
+    assert 0 < RTO_MIN <= RTO_INITIAL <= RTO_MAX
+    assert (RTO_MIN, RTO_INITIAL) == (200 * MS, 1 * SEC)
 
 
-def test_tuning_is_read_only_and_one_instance_is_every_senders_default():
-    for tuning in (DEFAULT_TUNING, Tuning(rto_min=50 * MS)):
-        with pytest.raises(AttributeError):
-            tuning.rto_min = 1 * MS
-        with pytest.raises(AttributeError):
-            tuning.extra = True
-        with pytest.raises(AttributeError):
-            del tuning.rto_initial
-    assert (DEFAULT_TUNING.rto_min, DEFAULT_TUNING.rto_initial) == (200 * MS, 1 * SEC)
-    senders = [TcpSender(Engine(), flow, M, OVERHEAD, "submss", "reno-like", True, M // 64,
-                         lambda p: None) for flow in range(2)]
-    assert all(sender.tuning is DEFAULT_TUNING for sender in senders)
+def test_a_patched_rto_constant_moves_the_next_armed_rto():
+    # current_rto reads RTO_MIN and RTO_INITIAL when it runs, so a sender built
+    # before the constants change arms its next timer from the new values.
+    engine = Engine()
+    sender = make_sender(engine, lambda p: None, mode="baseline")
+    with rto_timers(RTO_MIN, 3 * SEC):
+        sender.app_write(M)  # the initial window sends it at once
+    assert sender.rto_timer.deadline == 3 * SEC
+    engine.run_until(6 * MS)
+    sender.on_ack(Ack(0, M, False))  # a 6 ms sample; nothing is left in flight
+    assert sender.rto_timer.deadline is None and sender.srtt == 6 * MS
+    with rto_timers(300 * MS, RTO_INITIAL):
+        sender.app_write(M)
+    assert sender.rto_timer.deadline == 6 * MS + 300 * MS
 
 
 # -- retransmission timeouts --------------------------------------------------
@@ -555,8 +572,7 @@ def test_tuning_is_read_only_and_one_instance_is_every_senders_default():
 def test_baseline_rto_resets_to_floor_and_doubles_timer():
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=200 * MS, rto_initial=1 * SEC)
-    sender = make_sender(engine, sent.append, mode="baseline", tuning=tuning)
+    sender = make_sender(engine, sent.append, mode="baseline")
     log = log_recorder(engine)
     sender.slow_start = False
     sender.window = 8 * M
@@ -570,13 +586,13 @@ def test_baseline_rto_resets_to_floor_and_doubles_timer():
     assert any(p.is_retransmission for p in sent)
 
 
+@rto_timers(200 * MS, 200 * MS)
 def test_baseline_rto_backoff_stops_at_256():
     # A 200 ms base keeps 256 backoffs (51.2 s) under RTO_MAX, so the cap
     # itself shows: the retransmission gaps double eight times, then plateau.
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=200 * MS, rto_initial=200 * MS)
-    sender = make_sender(engine, sent.append, mode="baseline", tuning=tuning)
+    sender = make_sender(engine, sent.append, mode="baseline")
     sender.app_write(M)  # no ACK ever arrives
     engine.run_until(300 * SEC)
     times = [p.sent_at for p in sent if p.is_retransmission]
@@ -586,13 +602,13 @@ def test_baseline_rto_backoff_stops_at_256():
     assert sender.rto_backoff == 256
 
 
+@rto_timers(50 * MS, 50 * MS)
 def test_submss_rto_sequence_halves_window_geometrically():
     # Three consecutive timeouts with no ACKs: the window halves each time,
     # M/2 -> M/4 -> M/8 -> M/16, with no timer doubling anywhere.
     engine = Engine()
     windows = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
-    sender = make_sender(engine, lambda p: None, tuning=tuning, grow=False, w_min=M // 64)
+    sender = make_sender(engine, lambda p: None, grow=False, w_min=M // 64)
     sender.window = M // 2
     original = sender.rto_timer.action
 
@@ -607,11 +623,11 @@ def test_submss_rto_sequence_halves_window_geometrically():
     assert sender.rto_backoff == 1  # the growing wait replaces timer backoff
 
 
+@rto_timers(50 * MS, 50 * MS)
 def test_submss_rto_retransmissions_are_paced_and_window_untouched():
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
-    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = M // 2
     sender.app_write(M)
     engine.run_until(500 * MS)
@@ -621,11 +637,11 @@ def test_submss_rto_retransmissions_are_paced_and_window_untouched():
     assert sender.window > 0
 
 
+@rto_timers(50 * MS, 50 * MS)
 def test_one_ack_after_blackout_restores_sending():
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
-    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = M // 2
     sender.app_write(100 * M)
     engine.run_until(2 * SEC)  # several RTOs, window deeply suppressed
@@ -656,13 +672,13 @@ def test_fast_retransmit_sends_a_fresh_packet():
     assert original.ce_marked and not original.is_retransmission and original.sent_at == 0
 
 
+@rto_timers(50 * MS, 50 * MS)
 def test_head_acked_while_its_retransmission_waits_is_not_resent():
     # submss: an RTO makes the head due while the pacer holds the next send,
     # then an ACK covers the head before the wait fires.
     engine = Engine()
     sent = []
-    tuning = Tuning(rto_min=50 * MS, rto_initial=50 * MS)
-    sender = make_sender(engine, sent.append, tuning=tuning, grow=False)
+    sender = make_sender(engine, sent.append, grow=False)
     sender.window = M // 2
     sender.app_write(100 * M)
     engine.run_until(100 * MS)  # the first wait elapses; segment 0 goes out
@@ -765,10 +781,11 @@ def test_srtt_converges_to_true_path_rtt():
     assert rig.sender.srtt == 6 * MS
 
 
+@rto_timers(1, FAR_FUTURE)
 def test_rto_keeps_a_one_ns_variance_floor():
     # RFC 6298's clock granularity G: on a constant path rttvar decays to 0,
     # and with rto_min below the RTT only G keeps the RTO above srtt.
-    rig = LoopbackRig(rtt=6 * MS, tuning=Tuning(rto_min=1, rto_initial=FAR_FUTURE))
+    rig = LoopbackRig(rtt=6 * MS)
     rig.sender.window = 730
     rig.sender.app_write(100 * M)
     rig.engine.run_until(2 * SEC)
@@ -961,6 +978,7 @@ def test_baseline_bulk_sends_full_window_back_to_back():
     assert all(p.size - OVERHEAD == M for p in sent)
 
 
+@rto_timers(FAR_FUTURE, FAR_FUTURE)  # no RTO may resend in the 1 s without ACKs
 def test_baseline_full_window_blocks_emission():
     engine = Engine()
     sent = []
@@ -994,13 +1012,14 @@ def test_submss_window_above_segment_sends_without_wait():
     assert not sender.pacer.waiting
 
 
+@rto_timers(50 * MS, 50 * MS)
 def test_ack_that_leaves_nothing_to_send_disarms_a_pending_wait():
     # Two submss RTOs halve the window below one segment, so the second
     # retransmission waits.  The late ACK of the original then covers the head
     # and no new data is queued: the wait goes and nothing more is sent.
     engine = Engine()
     sent = []
-    sender = make_sender(engine, sent.append, tuning=Tuning(rto_min=50 * MS, rto_initial=50 * MS))
+    sender = make_sender(engine, sent.append)
     sender.app_write(M)  # the initial two-segment window sends it at once
     engine.run_until(150 * MS)  # RTOs at 50 ms (window M, resent at once) and 100 ms (M/2)
     assert [p.sent_at for p in sent] == [0, 50 * MS]

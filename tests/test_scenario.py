@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import log_recorder, log_sends, replace_keys
 from hypothesis import example, given, strategies as st
+from reference import reference_queue_delay_stats
 
 import subpace
 from subpace import cli, scenario
@@ -23,7 +24,7 @@ from subpace.config import (
     parse_time,
     with_value,
 )
-from subpace.endpoint import Ack, ProtocolError, TcpSender, Tuning
+from subpace.endpoint import Ack, ProtocolError, TcpSender
 from subpace.engine import MS, SEC, US, Engine, transmission_time_ns
 from subpace.netpath import AqmLink
 from subpace.scenario import (
@@ -316,6 +317,23 @@ def test_chunked_runs_give_the_same_csv(path):
     assert render_metrics_csv(sim.metrics()) == whole
 
 
+def test_run_retires_no_departure_after_until():
+    # A frame that finishes serializing at t + 1 is still queued at t: a run
+    # to t reports no departure after t and leaves that frame in the backlog,
+    # so an arrival at t + 1 still counts it.
+    sim = Simulation(small_config())
+    log = log_recorder(sim.engine)
+    until = 0
+    while not sim.link._fifo:
+        until += 1 * MS
+        sim.run(until)
+    departs = sim.link._fifo[0][0]
+    sim.run(departs - 1)
+    assert all(row[0] <= departs - 1 for row in log.of("departure"))
+    assert sim.link._fifo[0][0] == departs
+    assert sim.link.backlog == sum(size for _, _, size in sim.link._fifo)
+
+
 def test_different_seeds_differ():
     base = small_config()
     a = render_metrics_csv(run_scenario(base))
@@ -501,37 +519,6 @@ def test_event_trace_is_reproducible():
 
 # -- streaming metrics ----------------------------------------------------------
 
-def reference_queue_delay_stats(steps, capacity_bps, start, end) -> tuple[int, int]:
-    """Time-weighted mean and p95 of queue delay from a full step log (sort-based)."""
-    pieces: list[tuple[int, int]] = []  # (delay_ns, duration_ns)
-    prev_t, prev_backlog = start, 0
-    for t, backlog in steps:
-        if t <= start:
-            prev_backlog = backlog
-            continue
-        if t >= end:
-            break
-        if t > prev_t:
-            pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), t - prev_t))
-        prev_t, prev_backlog = t, backlog
-    if prev_t < end:
-        pieces.append((transmission_time_ns(prev_backlog * 8, capacity_bps), end - prev_t))
-    total = end - start
-    if total <= 0 or not pieces:
-        return 0, 0
-    mean = round(sum(delay * dur for delay, dur in pieces) / total)
-    pieces.sort()
-    cutoff = 0.95 * total
-    seen = 0
-    p95 = pieces[-1][0]
-    for delay, dur in pieces:
-        seen += dur
-        if seen >= cutoff:
-            p95 = delay
-            break
-    return mean, p95
-
-
 @st.composite
 def step_logs(draw):
     start = draw(st.integers(min_value=0, max_value=1_000))
@@ -582,9 +569,9 @@ def test_meter_takes_a_departures_step_before_end_and_counts_it_after_start():
 
 
 def test_per_packet_objects_stay_on_the_fast_attribute_path():
-    # CPython 3.11 shares an instance dict's keys with its class only up to 30
-    # keys (SHARED_KEYS_MAX_SIZE); an object past that reads and writes every
-    # attribute through a slower hinted lookup.  So the senders, with 31
+    # CPython 3.11 shares an instance dict's keys with its class only below 30
+    # keys (SHARED_KEYS_MAX_SIZE); an object that reaches it reads and writes
+    # every attribute through a slower hinted lookup.  So the senders, with 30
     # attributes, are slotted, and every other per-packet object stays below 30.
     sim = Simulation(small_config()).run(500 * MS)
     for sender in sim.senders:
@@ -837,7 +824,6 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
      "w_min", "must be at most one segment (1460 bytes), got 1461"),
     (lambda: TcpSender(Engine(), **{**SENDER_ARGS, "mss": 0}),
      "mss", "must be at least 1 byte, got 0"),
-    (lambda: Tuning(rto_min=0), "rto_min", "must be positive and at most 60000000000 ns, got 0"),
     (lambda: pkt_per_rtt_floor(0, 12, 1518, 6 * MS), "capacity", "must be positive, got 0"),
     (lambda: log_spaced(0, 1, 2, "rtt"), "rtt-min", "must be positive, got 0"),
     (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), 1460, points=1001),
@@ -854,9 +840,8 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
      "w_min_fraction", "must be in (0, 1]"),
     (lambda: parse_scenario_text(SMALL + "w_min_fraction = nan\n"),
      "w_min_fraction", "must be in (0, 1]"),
-], ids=["link", "sender", "w_min", "w_min_above_mss", "mss", "tuning", "floor", "log_spaced",
-        "grid", "grid_mss", "duplicate", "bool", "unit", "float", "fraction_above_one",
-        "fraction_nan"])
+], ids=["link", "sender", "w_min", "w_min_above_mss", "mss", "floor", "log_spaced", "grid",
+        "grid_mss", "duplicate", "bool", "unit", "float", "fraction_above_one", "fraction_nan"])
 def test_every_bad_setting_raises_the_one_config_error_naming_its_field(make, field_name,
                                                                         message):
     # One `except ConfigError` catches a bad setting from a file, a flag or a constructor.

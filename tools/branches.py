@@ -14,8 +14,9 @@ Reachable traffic is what `Simulation` does from inputs `ScenarioConfig`
 accepts, from fixed seeds, with no state written by hand:
 - the four shipped scenarios at 60 s with seed 1, and at 20 s with seeds 2-5
 - eight staged ACK-blackhole runs (the path is severed from 5/12 to 2/3 of the
-  run): acceptance 7's config in both sender modes and both variants, and the
-  four shipped files at 12 s with a 3 s warmup
+  run): acceptance 7's config in both sender modes and both variants, with its
+  10 ms RTO floor and 1 s initial RTO, and the four shipped files at 12 s with
+  a 3 s warmup
 - `RANDOM_CONFIGS` (190) random configs that cycle through
   every AQM policy, sender mode, variant, `ecn` and `delayed_acks` setting,
   at 1 Mb/s-10 Gb/s and 20 us-40 ms
@@ -42,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("engine", "netpath", "pacing", "endpoint", "scenario")
@@ -196,9 +198,9 @@ def acceptance_7_config(config, mode, variant):
         duration=24_000 * ms, warmup=2_000 * ms, seed=3, w_min_fraction=1.0 / 1024)
 
 
-def staged(scenario, cfg, tuning) -> None:
+def staged(scenario, cfg) -> None:
     """Run with the ACK path severed from 5/12 to 2/3 of the duration, as acceptance 7 does."""
-    sim = scenario.Simulation(cfg, tuning)
+    sim = scenario.Simulation(cfg)
     sim.run(cfg.duration * 5 // 12)
     return_acks = [receiver.send_ack for receiver in sim.receivers]
     for receiver in sim.receivers:
@@ -246,15 +248,15 @@ def run_traffic() -> None:
             cfg = with_value(with_value(shipped, "seed", seed), "duration", seconds * 1_000 * ms)
             scenario.Simulation(cfg).run().metrics()
 
-    acceptance_tuning = endpoint.Tuning(rto_min=10 * ms, rto_initial=1_000 * ms)
-    for mode, variant in itertools.product(endpoint.SENDER_MODES, endpoint.CC_VARIANTS):
-        print(f"  blackhole: acceptance 7, {mode} {variant}", file=sys.stderr, flush=True)
-        staged(scenario, acceptance_7_config(config, mode, variant), acceptance_tuning)
+    with mock.patch.multiple(endpoint, RTO_MIN=10 * ms, RTO_INITIAL=1_000 * ms):
+        for mode, variant in itertools.product(endpoint.SENDER_MODES, endpoint.CC_VARIANTS):
+            print(f"  blackhole: acceptance 7, {mode} {variant}", file=sys.stderr, flush=True)
+            staged(scenario, acceptance_7_config(config, mode, variant))
     for name in SHIPPED:
         print(f"  blackhole: {name} 12 s", file=sys.stderr, flush=True)
         cfg = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
         cfg = with_value(with_value(cfg, "warmup", 3_000 * ms), "duration", 12_000 * ms)
-        staged(scenario, cfg, endpoint.DEFAULT_TUNING)
+        staged(scenario, cfg)
 
     rng = random.Random(29)
     choices = list(itertools.product(netpath.AQM_POLICIES, endpoint.SENDER_MODES,
