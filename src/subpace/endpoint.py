@@ -261,7 +261,7 @@ class TcpSender:
         if self.cc_variant == DCTCP_LIKE:
             self._dctcp_account(advance, ece)
         elif ece and now >= self.ece_gate_until:
-            self._reduce()
+            self._apply_conceptual(self.conceptual_window // 2)
             self.ece_gate_until = now + self.rtt()
         if advance > 0 and (self.cc_variant == DCTCP_LIKE or not ece):
             self._grow(now, advance)
@@ -273,7 +273,7 @@ class TcpSender:
         elif self.in_flight > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and self.snd_una >= self.recovery_until:
-                self._on_loss_detected()
+                self._enter_recovery(self.conceptual_window // 2)
 
         if self.in_flight == 0:
             self.rto_timer.stop()
@@ -331,10 +331,6 @@ class TcpSender:
         self.window -= self.conceptual_window - new_conceptual
         self._ca_acked = 0
 
-    def _reduce(self) -> None:
-        """Multiplicative decrease with the mode's floor."""
-        self._apply_conceptual(self.conceptual_window // 2)
-
     def _dctcp_account(self, advance: int, ece: bool) -> None:
         self._dctcp_acked += advance
         if ece:
@@ -351,27 +347,25 @@ class TcpSender:
 
     # -- loss handling ------------------------------------------------------
 
-    def _on_loss_detected(self) -> None:
+    def _enter_recovery(self, new_conceptual: int) -> None:
+        """Start a loss episode: set the window, and resend the head first."""
         self.slow_start = False
-        self._reduce()
+        self._apply_conceptual(new_conceptual)
         self.recovery_until = self.snd_nxt
         self.retx_head = True
 
     def _on_rto(self) -> None:
         now = self.engine.now
         self.engine.recorder.rto(now, self.flow_id)
-        self.slow_start = False
-        self.recovery_until = self.snd_nxt
-        self.retx_head = True
         if self.mode == BASELINE:
             # Classic response: collapse to the floor and back the timer off.
-            self._apply_conceptual(0)
+            self._enter_recovery(0)
             self.rto_backoff = min(self.rto_backoff * 2, 256)
         else:
             # Sub-MSS mode: reclaim the clocking credit written into flight, halve,
             # and let the pacer's growing wait replace the timer backoff.
             self.window, self.unreclaimed = self.conceptual_window, 0
-            self._apply_conceptual(self.window // 2)
+            self._enter_recovery(self.window // 2)
         self._pump(now)
 
 
@@ -420,12 +414,10 @@ class TcpReceiver:
                 self._emit_ack()
             else:
                 self.delack_timer.set(now + DELACK_TIMEOUT)
-        elif seq > self.rcv_nxt:
-            if self._ooo.get(seq, 0) < end:
+        else:  # out of order or stale: buffer only a new range ahead
+            if seq > self.rcv_nxt and self._ooo.get(seq, 0) < end:
                 self._ooo[seq] = end
-            self._emit_ack()  # immediate duplicate ACK
-        else:
-            self._emit_ack()  # stale duplicate; re-state the cumulative point
+            self._emit_ack()  # immediate duplicate ACK, re-stating rcv_nxt
 
     def _absorb_buffered(self) -> bool:
         filled = False

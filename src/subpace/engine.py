@@ -141,7 +141,6 @@ class Engine:
         self.recorder = Recorder()
         self._heap: list[list] = []  # entries [at, seq, action, arg]
         self._seq = 0
-        self._streams: dict[str, random.Random] = {}
 
     def schedule(self, at: int, action, tag: str | None = None) -> list:
         """Queue `action(arg)` at `at`; returns its entry `[at, seq, action, arg]`, arg None."""
@@ -168,11 +167,9 @@ class Engine:
         return self.now
 
     def stream(self, key: str) -> random.Random:
-        """Reproducible uniform stream for one entity, keyed off the seed.
+        """A new reproducible uniform stream keyed off the seed; each entity asks once.
 
         String seeding uses a stable hash inside random.Random, so the same
         (seed, key) pair yields the same draws on every platform.
         """
-        if key not in self._streams:
-            self._streams[key] = random.Random(f"{self.seed}:{key}")
-        return self._streams[key]
+        return random.Random(f"{self.seed}:{key}")

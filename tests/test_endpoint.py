@@ -98,14 +98,25 @@ def test_ack_restores_negative_window():
 def test_single_ack_restores_presend_window():
     # Clocking conservation: send then full cumulative ACK is a round trip
     # back to the pre-send window when no congestion response intervenes.
+    # The window is fixed, every segment is ACKed at once and nothing is
+    # marked, so just after each ACK (a wait for the short window still
+    # pending) the window is back at its pre-send 900 bytes.
     rig = LoopbackRig()
+    after_acks = []
+
+    def ack_and_sample(ack):
+        rig.sender.on_ack(ack)
+        after_acks.append(rig.sender.window)
+
+    def return_ack(ack):  # the rig's return path, sampling the window after each ACK
+        rig.engine.schedule(rig.engine.now + rig.rtt // 2, ack_and_sample)[3] = ack
+
+    rig.receiver.send_ack = return_ack
     rig.sender.window = 900
     rig.sender.app_write(50 * M)
-    before = 900
     rig.engine.run_until(200 * MS)
-    # at quiescent points (just after each ACK, before the next send fires)
-    # the window must have cycled back through `before`; sample via history:
-    assert rig.sender.window in (before, before - M)
+    assert len(after_acks) > 1
+    assert after_acks == [900] * len(after_acks)
 
 
 def test_ack_for_unsent_data_fails_loudly():
@@ -395,9 +406,8 @@ def test_per_packet_functions_list_every_function_a_frame_runs():
         assert sorted(hot - listed) == [], f"{name}: per-packet functions missing from the list"
 
 
-def test_only_apply_conceptual_reads_the_senders_floor():
-    # The floor is applied in one place, so the window cannot be lowered
-    # past it by a second copy of the clamp.
+def sender_attribute_uses(attr: str) -> dict[str, set[str]]:
+    """The TcpSender methods that load or store `self.<attr>`, keyed "Load" and "Store"."""
     path = SRC / "subpace" / "endpoint.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     sender = next(node for node in tree.body
@@ -405,10 +415,22 @@ def test_only_apply_conceptual_reads_the_senders_floor():
     uses = {}
     for method in (node for node in sender.body if isinstance(node, ast.FunctionDef)):
         for node in ast.walk(method):
-            if (isinstance(node, ast.Attribute) and node.attr == "floor"
+            if (isinstance(node, ast.Attribute) and node.attr == attr
                     and isinstance(node.value, ast.Name) and node.value.id == "self"):
                 uses.setdefault(type(node.ctx).__name__, set()).add(method.name)
-    assert uses == {"Load": {"_apply_conceptual"}, "Store": {"__init__"}}
+    return uses
+
+
+def test_only_apply_conceptual_reads_the_senders_floor():
+    # The floor is applied in one place, so the window cannot be lowered
+    # past it by a second copy of the clamp.
+    assert sender_attribute_uses("floor") == {"Load": {"_apply_conceptual"}, "Store": {"__init__"}}
+
+
+def test_only_enter_recovery_starts_a_loss_episode():
+    # Fast retransmit and both RTO responses open their loss episode through
+    # one method, so none can leave slow start on or forget to resend the head.
+    assert sender_attribute_uses("recovery_until")["Store"] == {"__init__", "_enter_recovery"}
 
 
 def per_packet_function_nodes():
@@ -928,6 +950,7 @@ def contiguous_prefix(ranges) -> int:
 @settings(deadline=None, max_examples=examples(100))
 @given(st.booleans(), st.lists(RECEIVER_STEPS, max_size=50))
 @example(True, [("in_order", M, False), ("wait", 50 * MS)])  # the delayed-ACK timer fires
+@example(False, [("in_order", M, False), ("stale", 1, M, False)])  # a stale range ends ahead
 def test_receiver_invariants_hold_for_any_segment_sequence(delayed, steps):
     engine = Engine()
     delivered, ahead = [], []  # every byte range handed over; starts sent past rcv_nxt
@@ -941,7 +964,7 @@ def test_receiver_invariants_hold_for_any_segment_sequence(delayed, steps):
 
     receiver = TcpReceiver(engine, 0, send_ack, delayed_acks=delayed)
     for step in steps:
-        rcv_nxt = receiver.rcv_nxt
+        rcv_nxt, ooo = receiver.rcv_nxt, dict(receiver._ooo)
         if step[0] == "wait":
             engine.run_until(engine.now + step[1])
         else:
@@ -959,6 +982,8 @@ def test_receiver_invariants_hold_for_any_segment_sequence(delayed, steps):
             delivered.append((seq, seq + payload))
             ce_since_ack |= ce
             receiver.on_segment(Packet(0, seq, seq + payload, payload + OVERHEAD, True, ce))
+            if seq < rcv_nxt:  # stale: nothing below rcv_nxt is ever absorbed, so none is buffered
+                assert receiver._ooo == ooo
         # The delayed-ACK timer runs exactly while a segment awaits its ACK.
         assert (receiver.delack_timer.deadline is not None) == (receiver.pending_segments > 0)
         assert receiver.pending_segments < receiver.ack_every

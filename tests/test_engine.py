@@ -104,9 +104,13 @@ def test_seeded_stream_is_reproducible_and_in_range():
 
 def test_streams_are_independent_per_entity():
     engine = Engine(seed=1)
-    a = [engine.stream("aqm/0").random() for _ in range(5)]
-    b = [engine.stream("aqm/1").random() for _ in range(5)]
-    assert a != b
+    stream_a, stream_b = engine.stream("aqm/0"), engine.stream("aqm/1")
+    a = [stream_a.random() for _ in range(5)]
+    b = [stream_b.random() for _ in range(5)]
+    assert all(x != y for x, y in zip(a, b))  # draw by draw
+    # A pure function of seed and key: asking again starts the same sequence over.
+    again = engine.stream("aqm/0")
+    assert [again.random() for _ in range(5)] == a
 
 
 def test_seeded_uniform_mean_near_half():

@@ -6,9 +6,11 @@
 The tool copies `src/subpace` to a temporary directory and rewrites the
 copy's `engine`, `netpath`, `pacing`, `endpoint` and `scenario` modules with
 an AST transform: every `if`, `while` and conditional-expression test, and
-every `and`/`or` operand inside one, becomes a probe that counts its true and
-false outcomes and returns the value unchanged.  A constant test (`while
-True`) has no outcome to count and is left alone.  `src/` is never written.
+every `and`/`or` operand wherever it appears, becomes a probe that counts its
+true and false outcomes and returns the value unchanged.  An operand is
+wrapped in place, so short-circuiting still skips the probes it skips.  A
+constant test or operand (`while True`, `or 1`) has no outcome to count and
+is left alone.  `src/` is never written.
 
 Reachable traffic is what `Simulation` does from inputs `ScenarioConfig`
 accepts, from fixed seeds, with no state written by hand:
@@ -107,12 +109,14 @@ class Probe:
 
 
 class Instrument(ast.NodeTransformer):
-    """Wrap each branch test, and each `and`/`or` operand in one, in a counting probe."""
+    """Wrap each branch test, and each `and`/`or` operand anywhere, in a counting probe."""
 
     def __init__(self, module: str, source: str, probes: list):
         self.module, self.source, self.probes = module, source, probes
         self.scope: list[str] = []
         self.elifs: set[int] = set()
+        self.probed: set[int] = set()  # ids of the probe calls, whose insides are done
+        self.raise_only = False
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -125,47 +129,49 @@ class Instrument(ast.NodeTransformer):
     def visit_If(self, node):
         if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If):
             self.elifs.add(id(node.orelse[0]))
-        raise_only = len(node.body) == 1 and isinstance(node.body[0], ast.Raise) \
+        self.raise_only = len(node.body) == 1 and isinstance(node.body[0], ast.Raise) \
             and not node.orelse
-        kind = "elif" if id(node) in self.elifs else "if"
-        node.test = self._test(node.test, kind, raise_only)
+        node.test = self._test(node.test, "elif" if id(node) in self.elifs else "if")
+        self.raise_only = False
         self.generic_visit(node)
         return node
 
     def visit_While(self, node):
-        node.test = self._test(node.test, "while", False)
+        node.test = self._test(node.test, "while")
         self.generic_visit(node)
         return node
 
     def visit_IfExp(self, node):
-        node.test = self._test(node.test, "ifexp", False)
+        node.test = self._test(node.test, "ifexp")
         self.generic_visit(node)
         return node
 
-    def _test(self, test, kind, raise_only):
+    def visit_BoolOp(self, node):
+        # Each operand is wrapped where it stands, so short-circuiting still skips its probe.
+        kind = "and" if isinstance(node.op, ast.And) else "or"
+        node.values = [value if isinstance(value, ast.Constant)
+                       else self._probe(value, f"{kind} operand") for value in node.values]
+        for call in node.values:
+            if id(call) in self.probed:
+                call.args[1] = self.visit(call.args[1])
+        return node
+
+    def visit_Call(self, node):
+        return node if id(node) in self.probed else self.generic_visit(node)
+
+    def _test(self, test, kind):
         if isinstance(test, ast.Constant):
             return test
-        wrapped = self._probe(test, kind, raise_only)  # numbered before its operands
-        wrapped.args[1] = self._operands(test, raise_only)
+        wrapped = self._probe(test, kind)  # numbered before its operands
+        wrapped.args[1] = self.visit(test)
         return wrapped
 
-    def _operands(self, expr, raise_only):
-        if isinstance(expr, ast.BoolOp):
-            kind = "and" if isinstance(expr.op, ast.And) else "or"
-            expr.values = [self._probe(value, f"{kind} operand", raise_only)
-                           for value in expr.values]
-            for call in expr.values:
-                call.args[1] = self._operands(call.args[1], raise_only)
-        elif isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
-            expr.operand = self._operands(expr.operand, raise_only)
-        return expr
-
-    def _probe(self, expr, kind, raise_only):
+    def _probe(self, expr, kind):
         index = len(self.probes)
         self.probes.append(Probe(self.module, expr.lineno, ".".join(self.scope) or "<module>",
-                                 kind, ast.get_source_segment(self.source, expr), raise_only))
-        call = ast.Call(ast.Name(PROBE, ast.Load()),
-                        [ast.Constant(index), expr], [])
+                                 kind, ast.get_source_segment(self.source, expr), self.raise_only))
+        call = ast.Call(ast.Name(PROBE, ast.Load()), [ast.Constant(index), expr], [])
+        self.probed.add(id(call))
         return ast.copy_location(call, expr)
 
 
