@@ -48,7 +48,7 @@ def window_region_grid(
     rtt_range_ns: tuple[int, int],
     rate_range_bps: tuple[int, int],
     mss: int,
-    points: int = 25,
+    points: int,
 ) -> Iterator[tuple[int, float, float, str]]:
     """(rtt_ns, rate_bps, window_in_MSS, region) over a log-spaced grid, row by row.
 

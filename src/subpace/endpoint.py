@@ -7,8 +7,8 @@ credit in flight, and a cumulative ACK moves the acked bytes back.  The sum,
 congestion signal.  The sub-MSS change is the three places that read the
 mode: `floor` (two segments, or `w_min` bytes below one), `_pump` and
 `_on_rto`.  Only `_apply_conceptual` lowers the window, so `conceptual_window
->= floor >= 1` holds throughout, and an RTO fires only with data in flight:
-`on_ack`, the one mover of `snd_una`, stops the timer when `in_flight` is 0.
+>= floor >= 1` holds throughout.  The RTO timer is armed only while data is
+in flight: `on_ack`, the one mover of `snd_una`, stops it at `snd_nxt`.
 
 The retained `segments` tile `[snd_una, snd_nxt)`: `_send` appends at
 `snd_nxt` and an ACK pops only the segments it covers whole.  So a segment is
@@ -263,22 +263,21 @@ class TcpSender:
         elif ece and now >= self.ece_gate_until:
             self._apply_conceptual(self.conceptual_window // 2)
             self.ece_gate_until = now + self.rtt()
-        if advance > 0 and (self.cc_variant == DCTCP_LIKE or not ece):
-            self._grow(now, advance)
 
         if advance > 0:
+            if self.cc_variant == DCTCP_LIKE or not ece:
+                self._grow(now, advance)
             if self.snd_una < self.recovery_until:
                 # Partial advance inside a loss episode: next hole goes out now.
                 self.retx_head = True
+            if self.in_flight == 0:
+                self.rto_timer.stop()
+            else:
+                self.rto_timer.set(now + self.current_rto())
         elif self.in_flight > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and self.snd_una >= self.recovery_until:
                 self._enter_recovery(self.conceptual_window // 2)
-
-        if self.in_flight == 0:
-            self.rto_timer.stop()
-        elif advance > 0:
-            self.rto_timer.set(now + self.current_rto())
 
         self._pump(now)
 
@@ -407,8 +406,11 @@ class TcpReceiver:
             self.ece_latch = True
 
         if seq == self.rcv_nxt:
+            ooo = self._ooo
+            filled_hole = end in ooo
+            while end in ooo:
+                end = ooo.pop(end)  # a buffered range ends past its start
             self.rcv_nxt = end
-            filled_hole = self._absorb_buffered() if self._ooo else False
             self.pending_segments += 1
             if filled_hole or self.pending_segments >= self.ack_every:
                 self._emit_ack()
@@ -418,14 +420,6 @@ class TcpReceiver:
             if seq > self.rcv_nxt and self._ooo.get(seq, 0) < end:
                 self._ooo[seq] = end
             self._emit_ack()  # immediate duplicate ACK, re-stating rcv_nxt
-
-    def _absorb_buffered(self) -> bool:
-        filled = False
-        while self.rcv_nxt in self._ooo:
-            end = self._ooo.pop(self.rcv_nxt)
-            self.rcv_nxt = end  # past rcv_nxt, since every payload is positive
-            filled = True
-        return filled
 
     def _emit_ack(self) -> None:
         self.delack_timer.stop()

@@ -114,7 +114,6 @@ class Simulation:
         self.cfg = cfg
         self.engine = Engine(seed=cfg.seed)
         self.engine.recorder = self.meter = Meter(cfg.warmup, cfg.duration, cfg.n_flows)
-        self._started = False
 
         self.receivers = [
             TcpReceiver(
@@ -152,6 +151,8 @@ class Simulation:
             for i in range(cfg.n_flows)
         ]
         self.on_ack = [sender.on_ack for sender in self.senders]  # one callable per flow id
+        for sender in self.senders:  # each flow starts its bulk transfer at t = 0
+            self.engine.schedule(0, sender.app_write, "app.write")[3] = BULK_BYTES
 
     def _return_ack(self, ack: Ack) -> None:
         self.engine.schedule(self.engine.now + self.ack_delay_ns, self.on_ack[ack.flow_id],
@@ -159,11 +160,7 @@ class Simulation:
 
     def run(self, until: int | None = None) -> "Simulation":
         """Advance to `until` (default: the duration) and retire departures up to it;
-        the first call starts the flows at t = 0, so a recorder added after `__init__` sees them."""
-        if not self._started:
-            self._started = True
-            for sender in self.senders:
-                sender.app_write(BULK_BYTES)
+        the flows start as t = 0 events, so a recorder added after `__init__` sees them."""
         self.link.retire(self.engine.run_until(self.cfg.duration if until is None else until))
         return self
 
@@ -247,13 +244,12 @@ def _real(x: float) -> str:
 
 
 def _metric_cells(m: ScenarioMetrics) -> list[str]:
-    per_flow = m.per_flow_throughput_bps or [0.0]
     return [
         str(m.mean_queue_delay_ns),
         str(m.p95_queue_delay_ns),
         _real(m.total_throughput_bps),
-        _real(min(per_flow)),
-        _real(max(per_flow)),
+        _real(min(m.per_flow_throughput_bps)),
+        _real(max(m.per_flow_throughput_bps)),
         _real(m.jain_fairness),
         str(m.total_drops),
         str(m.total_marks),

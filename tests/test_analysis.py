@@ -71,7 +71,7 @@ def test_region_grid_flags_diagonals():
 
 
 def test_region_grid_counts_on_the_readme_grid():
-    rows = list(window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460))
+    rows = list(window_region_grid((1 * MS, 100 * MS), (10**5, 10**8), 1460, points=25))
     assert Counter(region for (_, _, _, region) in rows) == {"<1": 225, "1-2": 58, ">=2": 342}
 
 

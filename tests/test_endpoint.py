@@ -370,8 +370,7 @@ PER_PACKET_FUNCTIONS = {
         "TcpSender._take_rtt_sample", "TcpSender._grow", "TcpSender.current_rto",
         "TcpSender._on_pacer_ready", "TcpSender._dctcp_account", "TcpSender._apply_conceptual",
         "TcpSender.conceptual_window", "TcpSender.in_flight", "TcpSender.rtt",
-        "TcpReceiver.on_segment", "TcpReceiver._absorb_buffered", "TcpReceiver._emit_ack",
-        "Ack.__init__",
+        "TcpReceiver.on_segment", "TcpReceiver._emit_ack", "Ack.__init__",
     ],
     "pacing.py": ["Pacer.request", "Pacer.window_changed", "Pacer.waiting", "pacing_delay",
                   "segment_size"],
@@ -511,6 +510,9 @@ SENDER_STEPS = st.one_of(
 @example("baseline", "reno-like", 1, [("write", M), ("wait", MS), ("ack", 1, False)])  # pipe drains
 # The head is ACKed while its retransmission waits, and nothing is left to send.
 @example("submss", "reno-like", 1, [("write", M), ("wait", 150 * MS), ("ack", 1, False)])
+# A duplicate ACK after the pipe drains: the RTO timer stays stopped.
+@example("baseline", "reno-like", 1,
+         [("write", M), ("wait", MS), ("ack", 1, False), ("dup", False)])
 def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min, steps):
     engine = Engine()
     balances = []  # the window right after each new-data send
@@ -540,6 +542,7 @@ def test_window_accounting_invariants_hold_for_any_ack_sequence(mode, cc, w_min,
             # only a new-data send is bound to leave it above -MSS.
             assert all(balance > -M for balance in balances)
             assert sender.conceptual_window >= sender.floor >= 1
+            # The RTO timer is armed only while data is in flight, dup ACKs included.
             assert sender.rto_timer.deadline is None or sender.in_flight > 0
             # A wait is pending only while there is a segment for it to send, and
             # it is priced for the current window from its epoch (or due at once).

@@ -148,6 +148,20 @@ def test_pacer_window_change_with_nothing_pending_arms_nothing():
     assert h.fired_at == []
 
 
+def test_pacer_window_change_after_a_fired_wait_arms_nothing():
+    # A fired wait leaves its epoch behind.  Priced from that stale epoch, a
+    # window change at 20 ms would arm a wait due at once, which is why
+    # `window_changed` checks for a pending wait first.
+    h = PacerHarness()
+    h.pacer.request(0, 1460, 730)  # d = 6 ms from epoch 0
+    h.engine.run_until(20 * MS)
+    assert h.fired_at == [6 * MS] and not h.pacer.waiting and h.pacer.epoch == 0
+    h.pacer.window_changed(20 * MS, 1460, 730)
+    assert not h.pacer.waiting
+    h.engine.run_until(50 * MS)
+    assert h.fired_at == [6 * MS]
+
+
 def test_pacer_with_a_zero_rtt_sends_at_once_and_arms_nothing():
     h = PacerHarness(rtt=0)
     assert h.pacer.request(0, 1460, 1) is True

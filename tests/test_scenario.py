@@ -334,6 +334,16 @@ def test_run_retires_no_departure_after_until():
     assert sim.link.backlog == sum(size for _, _, size in sim.link._fifo)
 
 
+def test_a_recorder_installed_after_construction_sees_the_t0_sends():
+    # The flows start as events at t = 0, not in `__init__`, so a recorder put
+    # in front after construction sees each flow's two-segment initial window.
+    cfg = shipped_config(SCENARIO_DIR / "broadband12.txt", 1 * SEC, 2 * SEC)
+    sim = Simulation(cfg)
+    log = log_recorder(sim.engine)
+    sim.run(0)
+    assert [now for now, _ in log.of("backlog")] == [0] * 24  # two segments for each of 12 flows
+
+
 def test_different_seeds_differ():
     base = small_config()
     a = render_metrics_csv(run_scenario(base))
@@ -828,7 +838,7 @@ SENDER_ARGS = dict(flow_id=0, mss=1460, frame_overhead=58, mode="submss",
     (lambda: log_spaced(0, 1, 2, "rtt"), "rtt-min", "must be positive, got 0"),
     (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), 1460, points=1001),
      "points", "must be at most 1000, got 1001"),
-    (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), mss=0), "mss", "must be positive"),
+    (lambda: window_region_grid((MS, 10 * MS), (10**6, 10**7), 0, 25), "mss", "must be positive"),
     (lambda: parse_scenario_text(SMALL + "capacity = 20 mbps\n"), "capacity", "duplicate key"),
     (lambda: parse_scenario_text(SMALL + "ecn = maybe\n"),
      "ecn", "expected on/off, got 'maybe'"),

@@ -13,7 +13,8 @@ constant test or operand (`while True`, `or 1`) has no outcome to count and
 is left alone.  `src/` is never written.
 
 Reachable traffic is what `Simulation` does from inputs `ScenarioConfig`
-accepts, from fixed seeds, with no state written by hand:
+accepts, from fixed seeds, with no state written by hand, each run's metrics
+rendered as CSV with `render_metrics_csv`:
 - the four shipped scenarios at 60 s with seed 1, and at 20 s with seeds 2-5
 - eight staged ACK-blackhole runs (the path is severed from 5/12 to 2/3 of the
   run): acceptance 7's config in both sender modes and both variants, with its
@@ -22,6 +23,9 @@ accepts, from fixed seeds, with no state written by hand:
 - `RANDOM_CONFIGS` (190) random configs that cycle through
   every AQM policy, sender mode, variant, `ecn` and `delayed_acks` setting,
   at 1 Mb/s-10 Gb/s and 20 us-40 ms
+- two `subpace sweep` commands through `cli.main`, on `broadband12_submss`
+  cut to 2 s with a 0.5 s warmup: one over `n_flows` 1, 4 and 12, one over
+  `seed` 1, 2 and 3.  The sweep's worker processes add their counts too.
 
 `--tier1` also runs `pytest tests` on the copy, without the tests
 NOT_ON_COPY names.  Processes the tests start (subprocess runs, sweep workers)
@@ -214,7 +218,7 @@ def staged(scenario, cfg) -> None:
     sim.run(cfg.duration * 2 // 3)
     for receiver, send_ack in zip(sim.receivers, return_acks):
         receiver.send_ack = send_ack
-    sim.run().metrics()
+    scenario.render_metrics_csv(sim.run().metrics())
 
 
 def random_config(config, netpath, rng: random.Random, policy, mode, variant, ecn, delack):
@@ -241,18 +245,29 @@ def random_config(config, netpath, rng: random.Random, policy, mode, variant, ec
         w_min_fraction=rng.choice((1 / 64, 1 / 1024, 1.0, rng.uniform(0.001, 1))))
 
 
-def run_traffic() -> None:
+def short_scenario(name: str, directory: Path) -> Path:
+    """A copy of shipped scenario `name` in `directory`, cut to 2 s with a 0.5 s warmup."""
+    text = (ROOT / "scenarios" / f"{name}.txt").read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines() if not line.startswith(("duration", "warmup"))]
+    path = directory / f"{name}_short.txt"
+    path.write_text("\n".join([*kept, "duration = 2 s", "warmup = 500 ms"]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def run_traffic(scratch: Path) -> None:
     """Drive the imported (instrumented) package with reachable traffic only."""
-    from subpace import config, endpoint, netpath, scenario
+    from subpace import cli, config, endpoint, netpath, scenario
 
     ms = 10**6
     with_value = config.with_value
+    render = scenario.render_metrics_csv
     for name in SHIPPED:
         shipped = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
         for seed, seconds in ((1, 60), (2, 20), (3, 20), (4, 20), (5, 20)):
             print(f"  {name} seed {seed} {seconds} s", file=sys.stderr, flush=True)
             cfg = with_value(with_value(shipped, "seed", seed), "duration", seconds * 1_000 * ms)
-            scenario.Simulation(cfg).run().metrics()
+            render(scenario.Simulation(cfg).run().metrics())
 
     with mock.patch.multiple(endpoint, RTO_MIN=10 * ms, RTO_INITIAL=1_000 * ms):
         for mode, variant in itertools.product(endpoint.SENDER_MODES, endpoint.CC_VARIANTS):
@@ -272,7 +287,13 @@ def run_traffic() -> None:
         if index % 10 == 0:
             print(f"  random configs {index + 1}-{min(index + 10, RANDOM_CONFIGS)} of {RANDOM_CONFIGS}",
                   file=sys.stderr, flush=True)
-        scenario.Simulation(cfg).run().metrics()
+        render(scenario.Simulation(cfg).run().metrics())
+
+    short = str(short_scenario("broadband12_submss", scratch))
+    for key, values in (("n_flows", "1,4,12"), ("seed", "1,2,3")):
+        print(f"  subpace sweep --vary {key} --values {values}", file=sys.stderr, flush=True)
+        if cli.main(["sweep", short, "--vary", key, "--values", values, "--out", os.devnull]):
+            raise RuntimeError(f"subpace sweep --vary {key} failed")
 
 
 def run_tier1(copy: Path, out: Path) -> int:
@@ -317,10 +338,15 @@ def main() -> int:
         sys.path.insert(0, str(copy))
         print(f"{len(probes)} probes in {', '.join(MODULES)}; running reachable traffic",
               file=sys.stderr, flush=True)
-        run_traffic()
-        from subpace import _branch_probe
+        counts = Path(tmp) / "traffic"
+        counts.mkdir()
+        # Sweep workers leave their counts in `counts` when they exit; so does this process.
+        with mock.patch.dict(os.environ, {OUT_ENV: str(counts)}):
+            run_traffic(Path(tmp))
+            from subpace import _branch_probe
 
-        traffic = _branch_probe.COUNTS
+            _branch_probe._dump()
+        traffic = merged_counts(counts, len(probes))
         tier1 = None
         if args.tier1:
             out = Path(tmp) / "counts"
