@@ -121,7 +121,7 @@ class ScenarioConfig:
             if value is REQUIRED:
                 raise ConfigError(name, "required key missing")
             setattr(self, name, value)
-        # Keys given as None, so derived here; with_value derives them again.
+        # Keys given as None, so derived here; with_values derives them again unless given.
         self._derived = tuple(k for k in ("aqm_ceiling", "warmup") if getattr(self, k) is None)
         if self.aqm_ceiling is None:
             self.aqm_ceiling = 2 * self.aqm_target
@@ -190,7 +190,12 @@ def key_parser(field_name: str):
     return KEYS[field_name][0]
 
 
-def with_value(cfg: ScenarioConfig, field_name: str, value) -> ScenarioConfig:
-    """cfg with one key set; keys left at their default are derived again."""
+def with_values(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """cfg with the given keys set in one checked step; other defaulted keys are derived again."""
     values = {name: getattr(cfg, name) for name in KEYS}
-    return ScenarioConfig(**{**values, **dict.fromkeys(cfg._derived), field_name: value})
+    return ScenarioConfig(**{**values, **dict.fromkeys(cfg._derived), **changes})
+
+
+def with_value(cfg: ScenarioConfig, field_name: str, value) -> ScenarioConfig:
+    """cfg with one key set, as with_values sets it."""
+    return with_values(cfg, **{field_name: value})

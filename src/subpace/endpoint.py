@@ -407,12 +407,13 @@ class TcpReceiver:
 
         if seq == self.rcv_nxt:
             ooo = self._ooo
-            filled_hole = end in ooo
-            while end in ooo:
-                end = ooo.pop(end)  # a buffered range ends past its start
-            self.rcv_nxt = end
             self.pending_segments += 1
-            if filled_hole or self.pending_segments >= self.ack_every:
+            if end in ooo:  # fills a hole: take every range it joins and ACK at once
+                while end in ooo:
+                    end = ooo.pop(end)  # a buffered range ends past its start
+                self.pending_segments = self.ack_every
+            self.rcv_nxt = end
+            if self.pending_segments >= self.ack_every:
                 self._emit_ack()
             else:
                 self.delack_timer.set(now + DELACK_TIMEOUT)

@@ -11,7 +11,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 
 from .analysis import jain_fairness
-from .config import ScenarioConfig, key_parser, with_value
+from .config import ScenarioConfig, key_parser, with_values
 from .endpoint import Ack, TcpReceiver, TcpSender
 from .engine import NS_PER_SEC, Engine, Recorder, transmission_time_ns
 from .netpath import AqmLink
@@ -205,12 +205,9 @@ def sweep(cfg: ScenarioConfig, field_name: str, raw_values) -> list[tuple[str, S
     raw_values = list(raw_values)
     if not raw_values:
         return []
-    configs = []
-    for index, raw in enumerate(raw_values):
-        run_cfg = with_value(cfg, field_name, parse(field_name, raw))
-        if field_name != "seed":
-            run_cfg = with_value(run_cfg, "seed", derive_sweep_seed(cfg.seed, index))
-        configs.append(run_cfg)
+    # A seed sweep's own value comes last, so it replaces the derived seed.
+    configs = [with_values(cfg, **{"seed": derive_sweep_seed(cfg.seed, index), field_name: value})
+               for index, value in enumerate(parse(field_name, raw) for raw in raw_values)]
     # Imported here, not at the top: it takes about 25 ms, near the package's own import time.
     from concurrent.futures import ProcessPoolExecutor
 

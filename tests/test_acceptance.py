@@ -9,6 +9,7 @@ import statistics
 from collections import defaultdict
 from pathlib import Path
 
+import acceptance_7
 import pytest
 from conftest import FixedWindowSender, log_recorder, log_sends, rto_timers
 
@@ -189,16 +190,9 @@ def test_acceptance_6_delayed_ack_pairing(submss_run, nodelack_run):
               f"back-to-back gap share {frac_on:.2f} (on) vs {frac_off:.2f} (off)")
 
 
-@rto_timers(10 * MS, 1 * SEC)
+@rto_timers(acceptance_7.RTO_MIN, acceptance_7.RTO_INITIAL)
 def test_acceptance_7_backoff_replacement():
-    cfg = ScenarioConfig(
-        capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460,
-        base_rtt=6 * MS, aqm_policy="ramp-mark", aqm_target=1 * MS,
-        aqm_ceiling=2 * MS, buffer_limit=30_000, sender_mode="submss",
-        cc_variant="dctcp-like", ecn=True, delayed_acks=False,
-        duration=24 * SEC, warmup=2 * SEC, seed=3, w_min_fraction=1.0 / 1024,
-    )
-    sim = Simulation(cfg)
+    sim = Simulation(ScenarioConfig(**acceptance_7.LINK))
     sender = sim.senders[0]
     sends = log_sends(sender)
     sim.run(10 * SEC)  # settle into a sub-segment window

@@ -13,7 +13,7 @@ import pytest
 from conftest import FixedWindowSender, examples, log_recorder, rto_timers
 from hypothesis import example, given, settings, strategies as st
 
-from subpace.config import load_scenario, with_value
+from subpace.config import load_scenario, with_values
 from subpace.endpoint import (
     INITIAL_RTT,
     RTO_INITIAL,
@@ -387,9 +387,8 @@ def test_per_packet_functions_list_every_function_a_frame_runs():
     listed = {(module, name) for module, names in PER_PACKET_FUNCTIONS.items() for name in names}
     package = SRC / "subpace"
     for name in ("broadband12", "broadband12_reddrop", "broadband12_submss"):
-        cfg = load_scenario(SRC.parent / "scenarios" / f"{name}.txt")
-        for key, value in (("seed", 1), ("warmup", 250 * MS), ("duration", SEC)):
-            cfg = with_value(cfg, key, value)
+        cfg = with_values(load_scenario(SRC.parent / "scenarios" / f"{name}.txt"),
+                          seed=1, warmup=250 * MS, duration=SEC)
         profiler = cProfile.Profile(subcalls=False)
         profiler.enable()
         Simulation(cfg).run().metrics()

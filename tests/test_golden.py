@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from subpace import cli
-from subpace.config import load_scenario, with_value
+from subpace.config import load_scenario, with_values
 from subpace.engine import SEC
 from subpace.scenario import render_metrics_csv, render_sweep_csv, run_scenario, sweep
 
@@ -48,20 +48,15 @@ def test_every_shipped_scenario_is_pinned():
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN_SHA256))
 def test_short_run_csv_matches_pinned_hash(name, seed):
-    cfg = load_scenario(SCENARIO_DIR / f"{name}.txt")
-    # Warmup first: with_value validates each step, and a 4 s duration is
-    # below the files' 15 s warmup.
-    cfg = with_value(cfg, "warmup", 1 * SEC)
-    cfg = with_value(cfg, "duration", 4 * SEC)
-    cfg = with_value(cfg, "seed", seed)
+    cfg = with_values(load_scenario(SCENARIO_DIR / f"{name}.txt"),
+                      warmup=1 * SEC, duration=4 * SEC, seed=seed)
     csv = render_metrics_csv(run_scenario(cfg))
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[(name, seed)]
 
 
 def test_short_sweep_csv_matches_pinned_hash():
-    cfg = load_scenario(SCENARIO_DIR / "broadband12_submss.txt")
-    cfg = with_value(cfg, "warmup", 1 * SEC)
-    cfg = with_value(cfg, "duration", 4 * SEC)
+    cfg = with_values(load_scenario(SCENARIO_DIR / "broadband12_submss.txt"),
+                      warmup=1 * SEC, duration=4 * SEC)
     csv = render_sweep_csv("n_flows", sweep(cfg, "n_flows", ["4", "8"]))
     assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_SHA256
 

@@ -11,7 +11,7 @@ from conftest import log_recorder
 from reference import EagerTimer, EventLink
 
 from subpace import endpoint, pacing, scenario
-from subpace.config import load_scenario, with_value
+from subpace.config import load_scenario, with_values
 from subpace.engine import MS, SEC
 from subpace.scenario import Simulation, render_metrics_csv
 
@@ -32,7 +32,7 @@ def csv_and_rows(cfg):
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda path: path.stem)
 def test_reference_simulation_matches_the_optimized_one(monkeypatch, path):
-    cfg = with_value(with_value(load_scenario(path), "warmup", 500 * MS), "duration", 2 * SEC)
+    cfg = with_values(load_scenario(path), warmup=500 * MS, duration=2 * SEC)
     csv, rows, _ = csv_and_rows(cfg)
     monkeypatch.setattr(endpoint, "Timer", EagerTimer)
     monkeypatch.setattr(pacing, "Timer", EagerTimer)

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import log_recorder, log_sends, replace_keys
+from conftest import log_recorder, log_sends
 from hypothesis import example, given, strategies as st
 from reference import reference_queue_delay_stats
 
@@ -23,6 +23,7 @@ from subpace.config import (
     parse_size,
     parse_time,
     with_value,
+    with_values,
 )
 from subpace.endpoint import Ack, ProtocolError, TcpSender
 from subpace.engine import MS, SEC, US, Engine, transmission_time_ns
@@ -59,7 +60,7 @@ seed = 9
 
 
 def small_config(**overrides) -> ScenarioConfig:
-    return replace_keys(parse_scenario_text(SMALL), **overrides)
+    return with_values(parse_scenario_text(SMALL), **overrides)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -89,17 +90,45 @@ def test_warmup_defaults_to_quarter_duration():
 def test_with_value_derives_defaulted_ceiling_again():
     cfg = parse_scenario_text(SMALL.replace("aqm_ceiling = 10 ms\n", ""))
     assert with_value(cfg, "aqm_target", 10 * MS).aqm_ceiling == 20 * MS
+    assert with_values(cfg, aqm_target=10 * MS, n_flows=2).aqm_ceiling == 20 * MS
+    kept = with_values(cfg, aqm_target=8 * MS, aqm_ceiling=12 * MS)  # given, so not derived
+    assert kept.aqm_ceiling == 12 * MS
+    assert with_values(kept, aqm_target=10 * MS, n_flows=2).aqm_ceiling == 12 * MS
     explicit = parse_scenario_text(SMALL)
     assert with_value(explicit, "aqm_target", 8 * MS).aqm_ceiling == 10 * MS
+    assert with_values(explicit, aqm_target=8 * MS, n_flows=2).aqm_ceiling == 10 * MS
 
 
 def test_with_value_derives_defaulted_warmup_again():
     cfg = parse_scenario_text(SMALL.replace("warmup = 1 s\n", ""))
     assert with_value(cfg, "duration", 40 * SEC).warmup == 10 * SEC
+    assert with_values(cfg, duration=40 * SEC, seed=2).warmup == 10 * SEC
     pinned = with_value(cfg, "warmup", 2 * SEC)  # a value set by with_value stays too
     assert with_value(pinned, "duration", 40 * SEC).warmup == 2 * SEC
+    kept = with_values(cfg, duration=40 * SEC, warmup=30 * SEC)  # given, so not derived
+    assert kept.warmup == 30 * SEC
+    assert with_values(kept, duration=80 * SEC, seed=2).warmup == 30 * SEC
     explicit = parse_scenario_text(SMALL)
     assert with_value(explicit, "duration", 40 * SEC).warmup == 1 * SEC
+    assert with_values(explicit, duration=40 * SEC, seed=2).warmup == 1 * SEC
+
+
+def test_with_values_sets_keys_in_one_checked_step():
+    # A shipped file's 15 s warmup rejects a 4 s duration set on its own, so a
+    # chain must set the warmup first; one with_values call takes both in any order.
+    paths = sorted(SCENARIO_DIR.glob("*.txt"))
+    assert len(paths) == 4
+    for path in paths:
+        cfg = load_scenario(path)
+        with pytest.raises(ConfigError) as err:
+            with_value(cfg, "duration", 4 * SEC)
+        assert err.value.field_name == "warmup"
+        chained = with_value(with_value(cfg, "warmup", 1 * SEC), "duration", 4 * SEC)
+        assert with_values(cfg, warmup=1 * SEC, duration=4 * SEC) == chained
+        assert with_values(cfg, duration=4 * SEC, warmup=1 * SEC) == chained
+        with pytest.raises(ConfigError) as err:
+            with_values(cfg, warmup=4 * SEC, duration=4 * SEC)
+        assert err.value.field_name == "warmup"
 
 
 def test_unknown_key_is_an_error():
@@ -152,7 +181,7 @@ def test_link_checks_give_the_same_message_from_config_and_link():
     ]
     for field_name, changes in cases:
         with pytest.raises(ConfigError) as config_err:
-            replace_keys(cfg, **changes)
+            with_values(cfg, **changes)
         with pytest.raises(ValueError) as link_err:
             AqmLink(Engine(), **{**link_args, **{link_arg[k]: v for k, v in changes.items()}})
         assert config_err.value.field_name == field_name
@@ -183,7 +212,7 @@ def test_sender_checks_give_the_same_message_from_file_config_and_sender():
         with pytest.raises(ConfigError) as parse_err:
             parse_scenario_text(SMALL.replace(f"= {original}", f"= {value}"))
         with pytest.raises(ConfigError) as config_err:
-            replace_keys(cfg, **{field_name: value})
+            with_value(cfg, field_name, value)
         with pytest.raises(ValueError) as sender_err:
             TcpSender(Engine(), **{**sender_args, sender_arg: value})
         assert parse_err.value.field_name == config_err.value.field_name == field_name
@@ -300,8 +329,8 @@ def test_metrics_csv_is_byte_stable_across_runs():
 
 
 def shipped_config(path, warmup, duration):
-    """A shipped scenario cut short; the warmup goes first, as the file's is longer."""
-    return with_value(with_value(load_scenario(path), "warmup", warmup), "duration", duration)
+    """A shipped scenario cut short."""
+    return with_values(load_scenario(path), warmup=warmup, duration=duration)
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda path: path.stem)
@@ -347,7 +376,7 @@ def test_a_recorder_installed_after_construction_sees_the_t0_sends():
 def test_different_seeds_differ():
     base = small_config()
     a = render_metrics_csv(run_scenario(base))
-    b = render_metrics_csv(run_scenario(replace_keys(base, seed=10)))
+    b = render_metrics_csv(run_scenario(with_value(base, "seed", 10)))
     assert a != b
 
 
@@ -471,8 +500,7 @@ def test_sweep_rows_equal_in_process_runs():
     cfg = small_config(duration=2 * SEC, warmup=500 * MS)
 
     def flows_cfg(index, n):
-        row = with_value(cfg, "n_flows", int(n))
-        return with_value(row, "seed", derive_sweep_seed(cfg.seed, index))
+        return with_values(cfg, n_flows=int(n), seed=derive_sweep_seed(cfg.seed, index))
 
     flows = ["8", "2", "4"]  # heaviest first, so the workers finish out of order
     expected = [(n, run_scenario(flows_cfg(i, n))) for i, n in enumerate(flows)]
@@ -503,10 +531,10 @@ def test_queue_delay_grows_with_flow_count_once_floor_binds():
     # Balance point R* = 2nP*8/C scales with n; once it exceeds the AQM
     # target the standing queue grows with every added flow.
     base = load_scenario(SCENARIO_DIR / "broadband12.txt")
-    base = replace_keys(base, duration=12 * SEC, warmup=4 * SEC)
+    base = with_values(base, duration=12 * SEC, warmup=4 * SEC)
     delays = []
     for n in (12, 16, 24):
-        metrics = run_scenario(replace_keys(base, n_flows=n))
+        metrics = run_scenario(with_value(base, "n_flows", n))
         delays.append(metrics.mean_queue_delay_ns)
     assert delays == sorted(delays)
     assert delays[0] > base.aqm_target

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from subpace.config import load_scenario, with_value
+from subpace.config import load_scenario, with_values
 from subpace.engine import SEC
 from subpace.scenario import render_metrics_csv, run_scenario
 
@@ -24,14 +24,13 @@ COMMON = ("on_ack", "on_segment", "enqueue", "schedule", "cancel")
 TRACED_RUN = """
 import json, sys
 import tracer
-from subpace.config import load_scenario, with_value
+from subpace.config import load_scenario, with_values
 from subpace.scenario import render_metrics_csv, run_scenario
 
 spans = tracer.Tracer()
 tracer.install(spans)
 path, warmup, duration, *names = sys.argv[1:]
-cfg = with_value(load_scenario(path), "warmup", int(warmup))
-cfg = with_value(cfg, "duration", int(duration))
+cfg = with_values(load_scenario(path), warmup=int(warmup), duration=int(duration))
 csv = render_metrics_csv(run_scenario(cfg))
 calls = {name: spans.calls(name) for name in names}
 print(json.dumps({"csv": csv, "calls": calls, "counts": spans.counts}))
@@ -51,7 +50,7 @@ def check_traced_run(name, entry_points, counters=()):
     )
     traced = json.loads(child.stdout)
 
-    cfg = with_value(with_value(load_scenario(scenario), "warmup", WARMUP), "duration", DURATION)
+    cfg = with_values(load_scenario(scenario), warmup=WARMUP, duration=DURATION)
     assert traced["csv"] == render_metrics_csv(run_scenario(cfg))
     assert [entry for entry, calls in traced["calls"].items() if calls == 0] == []
     assert [counter for counter in counters if traced["counts"].get(counter, 0) == 0] == []

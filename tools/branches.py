@@ -52,6 +52,10 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+
+import acceptance_7  # noqa: E402  (plain data, no `subpace` import)
+
 MODULES = ("engine", "netpath", "pacing", "endpoint", "scenario")
 SHIPPED = ("broadband12", "broadband12_submss", "broadband12_submss_nodelack",
            "broadband12_reddrop")
@@ -198,16 +202,6 @@ def instrument(package: Path) -> list[Probe]:
 
 # -- reachable traffic --------------------------------------------------------
 
-def acceptance_7_config(config, mode, variant):
-    """Acceptance 7's sub-segment DCTCP link, in `mode` and `variant`."""
-    ms = 10**6
-    return config.ScenarioConfig(
-        capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460, base_rtt=6 * ms,
-        aqm_policy="ramp-mark", aqm_target=1 * ms, aqm_ceiling=2 * ms, buffer_limit=30_000,
-        sender_mode=mode, cc_variant=variant, ecn=True, delayed_acks=False,
-        duration=24_000 * ms, warmup=2_000 * ms, seed=3, w_min_fraction=1.0 / 1024)
-
-
 def staged(scenario, cfg) -> None:
     """Run with the ACK path severed from 5/12 to 2/3 of the duration, as acceptance 7 does."""
     sim = scenario.Simulation(cfg)
@@ -260,23 +254,25 @@ def run_traffic(scratch: Path) -> None:
     from subpace import cli, config, endpoint, netpath, scenario
 
     ms = 10**6
-    with_value = config.with_value
+    with_values = config.with_values
     render = scenario.render_metrics_csv
     for name in SHIPPED:
         shipped = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
         for seed, seconds in ((1, 60), (2, 20), (3, 20), (4, 20), (5, 20)):
             print(f"  {name} seed {seed} {seconds} s", file=sys.stderr, flush=True)
-            cfg = with_value(with_value(shipped, "seed", seed), "duration", seconds * 1_000 * ms)
+            cfg = with_values(shipped, seed=seed, duration=seconds * 1_000 * ms)
             render(scenario.Simulation(cfg).run().metrics())
 
-    with mock.patch.multiple(endpoint, RTO_MIN=10 * ms, RTO_INITIAL=1_000 * ms):
+    link = config.ScenarioConfig(**acceptance_7.LINK)
+    with mock.patch.multiple(endpoint, RTO_MIN=acceptance_7.RTO_MIN,
+                             RTO_INITIAL=acceptance_7.RTO_INITIAL):
         for mode, variant in itertools.product(endpoint.SENDER_MODES, endpoint.CC_VARIANTS):
             print(f"  blackhole: acceptance 7, {mode} {variant}", file=sys.stderr, flush=True)
-            staged(scenario, acceptance_7_config(config, mode, variant))
+            staged(scenario, with_values(link, sender_mode=mode, cc_variant=variant))
     for name in SHIPPED:
         print(f"  blackhole: {name} 12 s", file=sys.stderr, flush=True)
         cfg = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
-        cfg = with_value(with_value(cfg, "warmup", 3_000 * ms), "duration", 12_000 * ms)
+        cfg = with_values(cfg, warmup=3_000 * ms, duration=12_000 * ms)
         staged(scenario, cfg)
 
     rng = random.Random(29)

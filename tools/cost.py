@@ -38,7 +38,7 @@ WARMUP_NS, DURATION_NS, SEED = 500_000_000, 2_000_000_000, 1
 
 sys.path.insert(0, str(SRC))
 
-from subpace.config import load_scenario, with_value  # noqa: E402
+from subpace.config import load_scenario, with_values  # noqa: E402
 from subpace.engine import Engine  # noqa: E402
 from subpace.scenario import Simulation  # noqa: E402
 
@@ -49,10 +49,8 @@ def interpreter() -> str:
 
 
 def config(name: str):
-    cfg = load_scenario(ROOT / "scenarios" / f"{name}.txt")
-    cfg = with_value(cfg, "seed", SEED)
-    cfg = with_value(cfg, "warmup", WARMUP_NS)
-    return with_value(cfg, "duration", DURATION_NS)
+    return with_values(load_scenario(ROOT / "scenarios" / f"{name}.txt"),
+                       seed=SEED, warmup=WARMUP_NS, duration=DURATION_NS)
 
 
 def module_of(code) -> str:
