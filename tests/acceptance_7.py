@@ -1,15 +1,7 @@
-"""Acceptance 7's sub-segment DCTCP link, as plain data.
+"""Acceptance 7's link as plain data: it imports nothing, so `tools/branches.py` shares it."""
 
-`tests/test_acceptance.py` runs it, and `tools/branches.py` runs it in every
-sender mode and variant against an instrumented copy of the package, so it
-imports nothing from `subpace`.
-"""
-
-MS = 10**6
-SEC = 10**9
-
-# ScenarioConfig keywords: one flow on a 2 Mb/s ramp-marking link, sub-segment DCTCP.
-LINK = dict(
+MS, SEC = 10**6, 10**9
+LINK = dict(  # ScenarioConfig keywords: one sub-segment DCTCP flow on a 2 Mb/s ramp-marking link
     capacity=2_000_000, n_flows=1, frame_size=1518, smss=1460, base_rtt=6 * MS,
     aqm_policy="ramp-mark", aqm_target=1 * MS, aqm_ceiling=2 * MS, buffer_limit=30_000,
     sender_mode="submss", cc_variant="dctcp-like", ecn=True, delayed_acks=False,

@@ -271,9 +271,8 @@ def run_traffic(scratch: Path) -> None:
             staged(scenario, with_values(link, sender_mode=mode, cc_variant=variant))
     for name in SHIPPED:
         print(f"  blackhole: {name} 12 s", file=sys.stderr, flush=True)
-        cfg = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
-        cfg = with_values(cfg, warmup=3_000 * ms, duration=12_000 * ms)
-        staged(scenario, cfg)
+        shipped = config.load_scenario(ROOT / "scenarios" / f"{name}.txt")
+        staged(scenario, with_values(shipped, warmup=3_000 * ms, duration=12_000 * ms))
 
     rng = random.Random(29)
     choices = list(itertools.product(netpath.AQM_POLICIES, endpoint.SENDER_MODES,
